@@ -4,49 +4,36 @@ Three instantiations over the edge ordering:
 
 * :func:`ebbkc_t` — truss-based edge ordering (Algorithm 3). A branch
   is represented implicitly as ``(S, verts, min_rank, l)``: its edge
-  set is every adjacency pair inside ``verts`` whose global truss rank
-  exceeds ``min_rank`` (the lazy equivalent of the VSet/ESet
-  intersections in Algorithm 3).
+  set is every adjacency pair inside ``verts`` whose truss rank exceeds
+  ``min_rank`` (the lazy equivalent of the VSet/ESet intersections in
+  Algorithm 3). Ranks are read from the per-vertex map
+  ``nbr_rank[u][w]`` (position of edge {u, w} in π_τ, see
+  `repro.graph.truss`), whose keys double as the adjacency.
 * :func:`ebbkc_c` — color-based edge ordering over the color DAG
   (Algorithm 4) with pruning Rules (1) and (2).
 * :func:`ebbkc_h` — hybrid (Algorithm 5): truss ordering at the initial
   branch, per-branch re-coloring + color DAG below.
 
 Every function takes an ``out`` sink receiving each k-clique as a
-sorted tuple (listing semantics — output cost is part of the measured
-work, as in the paper), plus an ``et_t`` early-termination threshold
-(0 disables ET; see `etplex`). ``*_top_branch`` entry points process a
-single initial-branch sub-problem so the distributed engine can fan
-them out (the paper's EP parallel scheme).
+tuple of distinct vertices (listing semantics — output cost is part of
+the measured work, as in the paper; the engine's collecting sinks sort
+each tuple), plus an ``et_t`` early-termination threshold (0 disables
+ET; see `etplex`). ``*_top_branch`` entry points process a single
+initial-branch sub-problem so the distributed engine can fan them out
+(the paper's EP parallel scheme).
 """
 from __future__ import annotations
 
 from typing import Callable
 
 from repro.graph.coloring import ColorOrdering, color_ordering, subgraph_color_ordering
-from repro.graph.loader import LocalGraph
+from repro.graph.loader import LocalGraph, list_small_k
 from repro.graph.truss import TrussDecomposition, truss_decomposition
 
 from .etplex import try_early_terminate
 
 Out = Callable[[tuple[int, ...]], None]
-Edge = tuple[int, int]
-
-
-def _trivial_small_k(g: LocalGraph, k: int, out: Out) -> bool:
-    """Handle k ≤ 2 (the paper assumes k ≥ 3): 1-cliques are vertices,
-    2-cliques are edges. Returns True when it consumed the call."""
-    if k <= 0:
-        return True
-    if k == 1:
-        for v in g.vertices:
-            out((v,))
-        return True
-    if k == 2:
-        for u, v in zip(g.us.tolist(), g.vs.tolist()):
-            out((int(u), int(v)))
-        return True
-    return False
+NbrRank = dict[int, dict[int, int]]
 
 
 # --------------------------------------------------------------------------
@@ -54,8 +41,24 @@ def _trivial_small_k(g: LocalGraph, k: int, out: Out) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _erank(er: dict[Edge, int], u: int, v: int) -> int:
-    return er[(u, v)] if u < v else er[(v, u)]
+def _initial_branch(nr: NbrRank, u: int, v: int) -> tuple[int, set[int]]:
+    """Slice the initial branch g_i of edge e_i = (u, v): returns e_i's
+    rank in π_τ and the common neighbors w whose edges to u and to v
+    are both ranked after e_i."""
+    nu, nv = nr[u], nr[v]
+    r = nu[v]
+    return r, {w for w in nu.keys() & nv.keys() if nu[w] > r and nv[w] > r}
+
+
+def _branch_adj(nr: NbrRank, verts: set[int], min_rank: int) -> dict[int, set[int]]:
+    """Adjacency of the branch graph on ``verts``: only the edges ranked
+    after ``min_rank`` survive (the ESet intersection of Algorithm 3,
+    computed lazily in O(|g|^2))."""
+    adj2 = {}
+    for v in verts:
+        nv = nr[v]
+        adj2[v] = {w for w in nv.keys() & verts if nv[w] > min_rank}
+    return adj2
 
 
 def _rec_t(
@@ -63,8 +66,7 @@ def _rec_t(
     verts: set[int],
     min_rank: int,
     l: int,
-    adj: dict[int, set[int]],
-    er: dict[Edge, int],
+    nr: NbrRank,
     et_t: int,
     out: Out,
 ) -> None:
@@ -77,36 +79,27 @@ def _rec_t(
         for v in verts:
             out(s + (v,))
         return
-    # Branch adjacency: only edges ordered after min_rank survive (the
-    # ESet intersection of Algorithm 3, computed lazily in O(|g|^2)).
-    adj2 = {
-        v: {w for w in adj[v] & verts if _erank(er, v, w) > min_rank}
-        for v in verts
-    }
     if l == 2:
         for v in verts:
-            for w in adj2[v]:
-                if v < w:
+            nv = nr[v]
+            for w in nv.keys() & verts:
+                if v < w and nv[w] > min_rank:
                     out(s + (v, w))
         return
+    adj2 = _branch_adj(nr, verts, min_rank)
     if try_early_terminate(s, verts, adj2, l, et_t, out):
         return
+    child_l = l - 2
     # No sort needed: each sub-branch is fully determined by the rank
     # filters below, not by the processing order of the edges.
-    edges = [
-        (_erank(er, v, w), v, w)
-        for v in verts
-        for w in adj2[v]
-        if v < w
-    ]
-    child_l = l - 2
-    for r, u, v in edges:
-        v2 = {
-            w
-            for w in adj2[u] & adj2[v]
-            if _erank(er, u, w) > r and _erank(er, v, w) > r
-        }
-        _rec_t(s + (u, v), v2, r, child_l, adj, er, et_t, out)
+    for u in verts:
+        nu = nr[u]
+        for v in adj2[u]:
+            if u < v:
+                nv = nr[v]
+                r = nu[v]
+                v2 = {w for w in adj2[u] & adj2[v] if nu[w] > r and nv[w] > r}
+                _rec_t(s + (u, v), v2, r, child_l, nr, et_t, out)
 
 
 def ebbkc_t_prepare(g: LocalGraph) -> TrussDecomposition:
@@ -115,22 +108,16 @@ def ebbkc_t_prepare(g: LocalGraph) -> TrussDecomposition:
 
 
 def ebbkc_t_top_branch(
-    g: LocalGraph,
-    er: dict[Edge, int],
-    edge: Edge,
+    nr: NbrRank,
+    u: int,
+    v: int,
     k: int,
     out: Out,
     et_t: int = 0,
 ) -> None:
-    """Process the initial-branch sub-problem for one edge of π_τ(G)."""
-    u, v = edge
-    r = er[edge]
-    verts = {
-        w
-        for w in g.adj[u] & g.adj[v]
-        if _erank(er, u, w) > r and _erank(er, v, w) > r
-    }
-    _rec_t((u, v), verts, r, k - 2, g.adj, er, et_t, out)
+    """Process the initial-branch sub-problem for edge (u, v) of π_τ(G)."""
+    r, verts = _initial_branch(nr, u, v)
+    _rec_t((u, v), verts, r, k - 2, nr, et_t, out)
 
 
 def ebbkc_t(
@@ -142,12 +129,11 @@ def ebbkc_t(
     et_t: int = 0,
 ) -> None:
     """EBBkC with the truss-based edge ordering — O(δm + km(τ/2)^(k-2))."""
-    if _trivial_small_k(g, k, out):
+    if list_small_k(g, k, out):
         return
     td = truss if truss is not None else ebbkc_t_prepare(g)
-    er = td.rank
-    for edge in td.order:
-        ebbkc_t_top_branch(g, er, edge, k, out, et_t)
+    for u, v in td.order:
+        ebbkc_t_top_branch(td.nbr_rank, u, v, k, out, et_t)
 
 
 # --------------------------------------------------------------------------
@@ -244,7 +230,7 @@ def ebbkc_c(
     """EBBkC with the color-based edge ordering — O(km(Δ/2)^(k-2)), with
     Rules (1)/(2) pruning. ``rule2=False`` gives the paper's
     "EBBkC (stc)" ablation variant."""
-    if _trivial_small_k(g, k, out):
+    if list_small_k(g, k, out):
         return
     c = co if co is not None else ebbkc_c_prepare(g)
     _rec_c(
@@ -258,9 +244,9 @@ def ebbkc_c(
 
 
 def ebbkc_h_top_branch(
-    g: LocalGraph,
-    er: dict[Edge, int],
-    edge: Edge,
+    nr: NbrRank,
+    u: int,
+    v: int,
     k: int,
     out: Out,
     et_t: int = 0,
@@ -269,25 +255,15 @@ def ebbkc_h_top_branch(
 ) -> None:
     """One initial-branch sub-problem of EBBkC-H: slice the truss-ordered
     branch graph g_i, re-color it, and run the color recursion inside."""
-    u, v = edge
-    r = er[edge]
-    verts = {
-        w
-        for w in g.adj[u] & g.adj[v]
-        if _erank(er, u, w) > r and _erank(er, v, w) > r
-    }
+    r, verts = _initial_branch(nr, u, v)
     l = k - 2
     if len(verts) < l:
         return
-    # Branch-graph adjacency keeps only edges ordered after e_i.
-    adj2 = {
-        w: {x for x in g.adj[w] & verts if _erank(er, w, x) > r}
-        for w in verts
-    }
     if l == 1:
         for w in verts:
             out((u, v, w))
         return
+    adj2 = _branch_adj(nr, verts, r)
     if try_early_terminate((u, v), verts, adj2, l, et_t, out):
         return
     co = subgraph_color_ordering(verts, adj2)
@@ -309,9 +285,8 @@ def ebbkc_h(
     Truss ordering bounds every initial sub-branch by τ (so the
     complexity matches EBBkC-T); color pruning applies below.
     """
-    if _trivial_small_k(g, k, out):
+    if list_small_k(g, k, out):
         return
     td = truss if truss is not None else ebbkc_t_prepare(g)
-    er = td.rank
-    for edge in td.order:
-        ebbkc_h_top_branch(g, er, edge, k, out, et_t, rule1, rule2)
+    for u, v in td.order:
+        ebbkc_h_top_branch(td.nbr_rank, u, v, k, out, et_t, rule1, rule2)

@@ -8,14 +8,18 @@ steps fused) or per *vertex* (NP). The engine:
 1. collects the normalized edge table, computes the algorithm's
    preprocessing on the driver (truss peel / coloring / degeneracy DAG;
    per-edge supports can come from the distributed triangle dataflow),
-2. broadcasts the adjacency + ordering structures,
+2. broadcasts the structures the kernels read: for the truss-ordered
+   EBBkC-T/H only the per-vertex rank map ``nbr_rank`` (its keys are the
+   adjacency), otherwise the adjacency + ordering structures,
 3. ships the top-branch units as a DataFrame, round-robin repartitioned
    across ``n_tasks`` partitions for load balance, and
 4. runs the pure-Python kernels inside ``mapInPandas``, aggregating
    counts (or collecting cliques) back through Catalyst.
 
 ``run_local`` is the sequential entry point used by the single-thread
-experiments (the paper's experiments 1–6 are sequential too).
+experiments (the paper's experiments 1–6 are sequential too). Every
+entry point lists k ≤ 2 through `loader.list_small_k`, and every listed
+clique is a tuple (Spark: an array) sorted ascending.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.core import core_decomposition
-from repro.graph.loader import LocalGraph, collect_local
+from repro.graph.loader import LocalGraph, collect_local, list_small_k
 from repro.graph.truss import truss_decomposition, truss_decomposition_from_spark
 
 from . import ebbkc as _e
@@ -63,7 +67,7 @@ def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
             if edges_df is not None
             else truss_decomposition(g)
         )
-        return {"kind": "truss", "order": td.order, "rank": td.rank}
+        return {"kind": "truss", "nbr_rank": td.nbr_rank}
     if algo == "ebbkc-c":
         co = _e.ebbkc_c_prepare(g)
         return {"kind": "color", "out": co.out, "col": co.col, "vid": co.vid}
@@ -76,7 +80,9 @@ def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
 def _units(algo: str, scheme: str, prep) -> list[tuple[int, int]]:
     """Top-branch units as (a, b) pairs; NP units use b = -1."""
     if algo in ("ebbkc-t", "ebbkc-h"):
-        return [(u, v) for u, v in prep["order"]]
+        # Each initial branch reads its ranks from the map, so the units
+        # need not follow π_τ.
+        return [(u, w) for u, nb in prep["nbr_rank"].items() for w in nb if u < w]
     if algo == "ebbkc-c":
         vid = prep["vid"]
         units = [
@@ -106,13 +112,13 @@ def _run_units(
 ) -> None:
     """Run the kernel for each top-branch unit against sink ``out``."""
     if algo == "ebbkc-t":
-        er = prep["rank"]
+        nr = prep["nbr_rank"]
         for u, v in units:
-            _e.ebbkc_t_top_branch(gshim, er, (u, v), k, out, et_t)
+            _e.ebbkc_t_top_branch(nr, u, v, k, out, et_t)
     elif algo == "ebbkc-h":
-        er = prep["rank"]
+        nr = prep["nbr_rank"]
         for u, v in units:
-            _e.ebbkc_h_top_branch(gshim, er, (u, v), k, out, et_t, rule1, rule2)
+            _e.ebbkc_h_top_branch(nr, u, v, k, out, et_t, rule1, rule2)
     elif algo == "ebbkc-c":
         co_out, col, vid = prep["out"], prep["col"], prep["vid"]
         allv = set(co_out)
@@ -136,6 +142,18 @@ def _run_units(
                 )
 
 
+def _check_args(k: int, algo: str, et_t: int, scheme: str = "ep") -> None:
+    """Reject bad arguments before any work starts."""
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    if scheme not in ("ep", "np"):
+        raise ValueError("scheme must be 'ep' or 'np'")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if et_t < 0:
+        raise ValueError(f"et_t must be >= 0, got {et_t}")
+
+
 def run_local(
     g: LocalGraph,
     k: int,
@@ -149,12 +167,12 @@ def run_local(
 ):
     """Sequential end-to-end run on the driver.
 
-    Returns the clique count, or the list of cliques when ``collect``.
-    ``rule2`` defaults to True for color-pruned EBBkC and False for
-    VBBkC (where True gives the paper's "+" ablation variants).
+    Returns the clique count, or, when ``collect``, the list of cliques,
+    each a tuple sorted ascending. ``rule2`` defaults to True for
+    color-pruned EBBkC and False for VBBkC (where True gives the paper's
+    "+" ablation variants).
     """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    _check_args(k, algo, et_t)
     r2 = rule2 if rule2 is not None else algo in ("ebbkc-c", "ebbkc-h")
     sink: list[tuple[int, ...]] = []
     n = 0
@@ -163,10 +181,9 @@ def run_local(
         nonlocal n
         n += 1
 
-    out = sink.append if collect else count_out
-    if k <= 2:
-        if _e._trivial_small_k(g, k, out):
-            return sink if collect else n
+    out = (lambda c: sink.append(tuple(sorted(c)))) if collect else count_out
+    if list_small_k(g, k, out):
+        return sink if collect else n
     if algo == "degen":
         # Degen uses one global ordering — run it whole, not per-unit.
         _v.vbbkc(g, k, out, variant="degen", rule2=False, et_t=et_t)
@@ -178,13 +195,21 @@ def run_local(
     return sink if collect else n
 
 
+def _structures(g: LocalGraph, prep) -> dict:
+    """The graph structures a Spark task reads: the truss rank map alone
+    (its keys are the adjacency), else the adjacency + ``prep``."""
+    if prep["kind"] == "truss":
+        return {"prep": prep}
+    return {"adj": g.adj, "prep": prep}
+
+
 def _task_iterator_factory(bc, collect: bool):
     """Build the mapInPandas worker: runs kernels over each batch of
     top-branch units against the broadcast graph + orderings."""
 
     def fn(batches):
         payload = bc.value
-        gshim = SimpleNamespace(adj=payload["adj"])
+        gshim = SimpleNamespace(adj=payload.get("adj"))
         prep = payload["prep"]
         algo, k = payload["algo"], payload["k"]
         et_t, rule1, rule2 = payload["et_t"], payload["rule1"], payload["rule2"]
@@ -225,12 +250,16 @@ def _distribute(
     rule2: bool | None,
     collect: bool,
     distributed_preprocess: bool,
-):
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    if scheme not in ("ep", "np"):
-        raise ValueError("scheme must be 'ep' or 'np'")
+) -> DataFrame:
+    """Run the k-clique job; returns DataFrame[clique] when ``collect``,
+    else DataFrame[n] of partial counts."""
+    _check_args(k, algo, et_t, scheme)
     g = collect_local(edges)
+    schema = "clique array<long>" if collect else "n long"
+    if k <= 2:
+        res = run_local(g, k, algo, collect=collect)
+        rows = [(list(c),) for c in res] if collect else [(res,)]
+        return spark.createDataFrame(rows, schema=schema)
     r2 = rule2 if rule2 is not None else algo in ("ebbkc-c", "ebbkc-h")
     prep = prepare(g, algo, edges_df=edges if distributed_preprocess else None)
     units = _units(algo, scheme, prep)
@@ -238,8 +267,7 @@ def _distribute(
     n_tasks = n_tasks or sc.defaultParallelism
     bc = sc.broadcast(
         {
-            "adj": g.adj,
-            "prep": prep,
+            **_structures(g, prep),
             "algo": algo,
             "k": k,
             "et_t": et_t,
@@ -251,7 +279,6 @@ def _distribute(
     units_df = spark.createDataFrame(pdf, schema="a long, b long").repartition(
         max(1, n_tasks)
     )
-    schema = "clique array<long>" if collect else "n long"
     return units_df.mapInPandas(_task_iterator_factory(bc, collect), schema=schema)
 
 
@@ -270,10 +297,6 @@ def count_kcliques(
 ) -> int:
     """Distributed k-clique count. ``scheme`` picks EP or NP top-branch
     units for VBBkC algorithms (EBBkC is edge-parallel by nature)."""
-    if k == 1:
-        return collect_local(edges).n
-    if k == 2:
-        return collect_local(edges).m
     res = _distribute(
         spark, edges, k, algo, scheme=scheme, n_tasks=n_tasks, et_t=et_t,
         rule1=rule1, rule2=rule2, collect=False,
@@ -306,7 +329,6 @@ def list_kcliques(
 
 
 def structure_bytes(g: LocalGraph, algo: str) -> int:
-    """Pickled size of the broadcast structures (experiment 8's space
-    proxy): adjacency + the algorithm's ordering artifacts."""
-    prep = prepare(g, algo)
-    return len(pickle.dumps({"adj": g.adj, "prep": prep}))
+    """Pickled size of the structures the engine broadcasts for ``algo``
+    (experiment 8's space proxy)."""
+    return len(pickle.dumps(_structures(g, prepare(g, algo))))

@@ -13,7 +13,9 @@
   branch.
 
 All procedures *enumerate* every clique (the paper's task is listing,
-and reported times include output), emitting sorted tuples to ``out``.
+and reported times include output), emitting each as a tuple of
+distinct vertices, in no particular order, to ``out`` (the engine's
+collecting sinks sort them).
 """
 from __future__ import annotations
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 from repro.graph.coloring import subgraph_color_ordering
 from repro.graph.core import CoreDecomposition, core_decomposition
-from repro.graph.loader import LocalGraph
+from repro.graph.loader import LocalGraph, list_small_k
 
 from .etplex import try_early_terminate
 
@@ -264,15 +264,7 @@ def vbbkc(
     """Run a VBBkC baseline end to end (sequential, NP decomposition)."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown VBBkC variant {variant!r}")
-    if k <= 0:
-        return
-    if k == 1:
-        for v in g.vertices:
-            out((v,))
-        return
-    if k == 2:
-        for u, v in zip(g.us.tolist(), g.vs.tolist()):
-            out((int(u), int(v)))
+    if list_small_k(g, k, out):
         return
     dec = core if core is not None else vbbkc_prepare(g)
     rank = dec.rank

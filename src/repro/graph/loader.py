@@ -111,6 +111,19 @@ class LocalGraph:
         return cls(us=us, vs=vs, adj=adj)
 
 
+def list_small_k(g: LocalGraph, k: int, out) -> bool:
+    """List the k-cliques of ``g`` for k ≤ 2 (the paper assumes k ≥ 3):
+    1-cliques are vertices, 2-cliques are edges, and k ≤ 0 lists
+    nothing. Returns True when it consumed the call."""
+    if k == 1:
+        for v in g.vertices:
+            out((v,))
+    elif k == 2:
+        for u, v in zip(g.us.tolist(), g.vs.tolist()):
+            out((u, v))
+    return k <= 2
+
+
 def collect_local(edges: DataFrame) -> LocalGraph:
     """Collect a normalized Spark edge table into a :class:`LocalGraph`.
 

@@ -10,6 +10,14 @@ relates to the maximum truss number k_max by k_max = τ + 2 (footnote 2).
 Initial per-edge supports come from the distributed triangle dataflow
 (`triangles.edge_support_df`); the peel itself is the sequential bucket
 loop below (O(m^1.5) with set intersections), run on the driver.
+
+The peel's product for the kernels is the per-vertex rank map
+``nbr_rank[u][w]`` = position of edge {u, w} in π_τ, stored in both
+directions. Its keys are the adjacency, so EBBkC-T/H slice a branch
+with plain dict reads and the Spark engine ships the map alone. During
+the peel the same map is the remaining graph, holding edge ids: a
+removed edge leaves it, and every edge is written back with its
+position once the peel ends.
 """
 from __future__ import annotations
 
@@ -26,18 +34,26 @@ Edge = tuple[int, int]
 @dataclass
 class TrussDecomposition:
     """``order`` is π_τ (edges in removal order, canonical u < v);
-    ``truss_number`` maps edge → its classic truss number t(e) (max k
-    with e in the k-truss, ≥ 2); ``tau`` = k_max − 2 = max
-    support-at-removal; ``rank`` maps edge → position in π_τ.
+    ``nbr_rank[u][w]`` = ``nbr_rank[w][u]`` is the position of edge
+    {u, w} in ``order``; ``levels[i]`` is the classic truss number of
+    ``order[i]`` (max k with the edge in the k-truss, ≥ 2); ``tau`` =
+    k_max − 2 = max support-at-removal.
     """
 
     order: list[Edge]
-    truss_number: dict[Edge, int]
+    nbr_rank: dict[int, dict[int, int]]
+    levels: list[int]
     tau: int
 
     @property
     def rank(self) -> dict[Edge, int]:
+        """Edge → position in π_τ."""
         return {e: i for i, e in enumerate(self.order)}
+
+    @property
+    def truss_number(self) -> dict[Edge, int]:
+        """Edge → truss number t(e)."""
+        return dict(zip(self.order, self.levels))
 
     @property
     def k_max(self) -> int:
@@ -47,45 +63,57 @@ class TrussDecomposition:
 def truss_decomposition(
     g: LocalGraph, support: dict[Edge, int] | None = None
 ) -> TrussDecomposition:
-    """Bucket-queue truss peel.
+    """Bucket-queue truss peel over edge ids.
 
     Repeatedly removes a minimum-support edge; when (u, v) goes, the
     support of (u, w) and (v, w) drops for every remaining common
     neighbor w. Support-at-removal is monotone under the running max,
-    which yields both the truss numbers and τ.
+    which yields both the truss numbers and τ. ``support`` (edge →
+    triangle count) fixes the edge ids: id i is its i-th key.
     """
-    if g.m == 0:
-        return TrussDecomposition(order=[], truss_number={}, tau=0)
     if support is None:
         support = local_edge_support(g)
-    sup = {e: int(s) for e, s in support.items()}
-    max_sup = max(sup.values())
-    buckets: list[set[Edge]] = [set() for _ in range(max_sup + 1)]
-    for e, s in sup.items():
-        buckets[s].add(e)
-    adj = {v: set(nb) for v, nb in g.adj.items()}
+    ends = list(support)
+    sup = list(support.values())
+    nr: dict[int, dict[int, int]] = {v: {} for v in g.adj}
+    for i, (u, v) in enumerate(ends):
+        nr[u][v] = nr[v][u] = i
+    # An edge is appended to the bucket of every support value it takes;
+    # entries whose value is no longer current are skipped when popped.
+    buckets: list[list[int]] = [[] for _ in range(max(sup, default=0) + 1)]
+    for i, s in enumerate(sup):
+        buckets[s].append(i)
     order: list[Edge] = []
-    truss_number: dict[Edge, int] = {}
-    tau = 0
-    d = 0
-    for _ in range(g.m):
-        while d <= max_sup and not buckets[d]:
-            d += 1
-        e = buckets[d].pop()
-        u, v = e
-        tau = max(tau, d)
-        truss_number[e] = tau + 2
+    levels: list[int] = []
+    tau = d = 0
+    for _ in ends:
+        while True:
+            while not buckets[d]:
+                d += 1
+            i = buckets[d].pop()
+            if sup[i] == d:
+                break
+        sup[i] = -1
+        e = u, v = ends[i]
+        if d > tau:
+            tau = d
+        levels.append(tau + 2)
         order.append(e)
-        adj[u].discard(v)
-        adj[v].discard(u)
-        for w in adj[u] & adj[v]:
-            for f in ((min(u, w), max(u, w)), (min(v, w), max(v, w))):
-                s = sup[f]
-                buckets[s].discard(f)
-                sup[f] = s - 1
-                buckets[s - 1].add(f)
-        d = max(0, d - 1)
-    return TrussDecomposition(order=order, truss_number=truss_number, tau=tau)
+        nu, nv = nr[u], nr[v]
+        del nu[v], nv[u]
+        # The peel's hot loop, unrolled over the two edges (u, w), (v, w).
+        for w in nu.keys() & nv.keys():
+            f = nu[w]
+            sup[f] -= 1
+            buckets[sup[f]].append(f)
+            f = nv[w]
+            sup[f] -= 1
+            buckets[sup[f]].append(f)
+        if d:
+            d -= 1
+    for p, (u, v) in enumerate(order):
+        nr[u][v] = nr[v][u] = p
+    return TrussDecomposition(order=order, nbr_rank=nr, levels=levels, tau=tau)
 
 
 def truss_decomposition_from_spark(edges: DataFrame) -> TrussDecomposition:

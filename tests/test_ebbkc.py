@@ -109,8 +109,8 @@ def test_top_branch_decomposition_covers_all():
     g = GRAPHS["er_dense"]
     td = ebbkc.ebbkc_t_prepare(g)
     got = []
-    for e in td.order:
-        ebbkc.ebbkc_t_top_branch(g, td.rank, e, 5, got.append)
+    for u, v in td.order:
+        ebbkc.ebbkc_t_top_branch(td.nbr_rank, u, v, 5, got.append)
     check_cliques(g, 5, got)
 
 

@@ -10,7 +10,10 @@ from repro.core.engine import (
     structure_bytes,
 )
 from repro.graph import generators as G
-from repro.graph.loader import to_spark
+from repro.graph.loader import LocalGraph, to_spark
+
+# Triangle {0, 1, 2} plus the pendant edge 2-3: 4 vertices, 4 edges.
+PAW = [(0, 1), (1, 2), (0, 2), (2, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +108,68 @@ def test_structure_bytes_positive(graph):
     # EBBkC carries the edge-ordering structures -> at least as large as
     # the degeneracy-only payload (paper experiment 8's observation).
     assert structure_bytes(graph, "ebbkc-h") >= structure_bytes(graph, "degen") * 0.5
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_small_k_same_on_every_path(spark, algo):
+    """k ≤ 2 lists the vertices / edges on every path: 0, 4, 4 on PAW."""
+    g = LocalGraph.from_pairs(PAW)
+    df = to_spark(spark, g)
+    for k in (0, 1, 2):
+        exp = brute_force_kcliques(g, k)
+        assert run_local(g, k, algo) == len(exp)
+        assert run_local(g, k, algo, collect=True) == exp
+        assert count_kcliques(spark, df, k, algo) == len(exp)
+        rows = list_kcliques(spark, df, k, algo).collect()
+        assert sorted(tuple(r["clique"]) for r in rows) == exp
+
+
+def test_bad_arguments_raise_before_work(spark, graph, edges):
+    for kw in ({"k": -1}, {"k": 3, "et_t": -1}, {"k": 1, "algo": "bogus"}):
+        args = {"algo": "ebbkc-h", **kw}
+        with pytest.raises(ValueError):
+            run_local(graph, **args)
+        with pytest.raises(ValueError):
+            count_kcliques(spark, edges, **args)
+        with pytest.raises(ValueError):
+            list_kcliques(spark, edges, **args)
+    with pytest.raises(ValueError):
+        count_kcliques(spark, edges, 1, "ddegcol", scheme="xx")
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_run_local_collect_sorted_tuples(graph, algo):
+    """Output contract: every collected clique is a tuple sorted ascending
+    (ET and the recursions emit members in any order)."""
+    got = run_local(graph, 4, algo, et_t=2, collect=True)
+    assert all(isinstance(c, tuple) and list(c) == sorted(c) for c in got)
+    check_cliques(graph, 4, got)
+
+
+TRUSS_GRAPHS = [G.erdos_renyi(18, 0.5, seed=s) for s in range(3)] + [
+    G.planted_cliques(40, 0.1, [8], seed=4),
+    LocalGraph.from_pairs([]),
+]
+
+
+@pytest.mark.parametrize("et_t", [0, 2, 3])
+@pytest.mark.parametrize("algo", ["ebbkc-t", "ebbkc-h"])
+def test_truss_kernels_match_brute_force(algo, et_t):
+    """k = 3, 4 end at the top branch (l = 1, 2); k = 5 recurses."""
+    for g in TRUSS_GRAPHS:
+        for k in (3, 4, 5):
+            exp = brute_force_kcliques(g, k)
+            assert run_local(g, k, algo, et_t=et_t) == len(exp)
+            assert sorted(run_local(g, k, algo, et_t=et_t, collect=True)) == exp
+
+
+def test_truss_broadcast_ships_only_the_rank_map(spark, graph, edges, monkeypatch):
+    sc = spark.sparkContext
+    sent = []
+    broadcast = sc.broadcast
+    monkeypatch.setattr(sc, "broadcast", lambda v: sent.append(v) or broadcast(v))
+    assert count_kcliques(spark, edges, 4, "ebbkc-t") == brute_force_count(graph, 4)
+    (payload,) = sent
+    assert "adj" not in payload and "order" not in payload
+    assert payload["prep"].keys() == {"kind", "nbr_rank"}
+    assert payload["prep"]["nbr_rank"].keys() == graph.adj.keys()

@@ -50,6 +50,25 @@ def test_ordering_is_permutation_of_edges():
     assert len(td.rank) == g.m
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        G.erdos_renyi(30, 0.3, seed=2),
+        G.planted_cliques(60, 0.05, [8], seed=3),
+        G.complete_graph(1),
+    ],
+)
+def test_nbr_rank_is_the_order(g):
+    """``nbr_rank[u][w]`` is edge {u, w}'s position in π_τ, both ways,
+    and its keys are the adjacency."""
+    td = truss_decomposition(g)
+    pos = {e: i for i, e in enumerate(td.order)}
+    assert {v: set(nb) for v, nb in td.nbr_rank.items()} == g.adj
+    for u, nb in td.nbr_rank.items():
+        for w, r in nb.items():
+            assert r == td.nbr_rank[w][u] == pos[(min(u, w), max(u, w))]
+
+
 def test_greedy_min_support_property():
     """Eq. (4): each removed edge has the minimum number of common
     neighbors in the remaining graph at its removal step."""
