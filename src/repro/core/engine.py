@@ -11,10 +11,13 @@ steps fused) or per *vertex* (NP). The engine:
 2. broadcasts the structures the kernels read: for the truss-ordered
    EBBkC-T/H only the per-vertex rank map ``nbr_rank`` (its keys are the
    adjacency), otherwise the adjacency + ordering structures,
-3. ships the top-branch units as a DataFrame, round-robin repartitioned
-   across ``n_tasks`` partitions for load balance, and
-4. runs the pure-Python kernels inside ``mapInPandas``, aggregating
-   counts (or collecting cliques) back through Catalyst.
+3. puts the top-branch unit list in the same broadcast; task ``i`` of
+   ``n_tasks`` takes the stripe ``units[i::n_tasks]`` in `_units` order
+   (no cost model), and ``spark.range(n_tasks)`` with one row per
+   partition drives the ``mapInPandas`` job, so there is no exchange,
+4. runs the pure-Python kernels in that single-stage job; a count call
+   collects one partial count per task and the driver sums them, a
+   listing call returns the job's DataFrame of cliques.
 
 ``run_local`` is the sequential entry point used by the single-thread
 experiments (the paper's experiments 1–6 are sequential too). Every
@@ -28,8 +31,8 @@ from types import SimpleNamespace
 from typing import Callable, Iterable
 
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.graph.core import core_decomposition
 from repro.graph.loader import LocalGraph, collect_local, list_small_k
@@ -60,10 +63,11 @@ def _degeneracy_dag_out(g: LocalGraph) -> tuple[list[int], dict[int, list[int]]]
 def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
     """Algorithm preprocessing (the part the paper's reported times
     include). For truss-ordered algorithms, per-edge supports come from
-    the distributed triangle dataflow when ``edges_df`` is given."""
+    the distributed triangle dataflow over ``edges_df`` (``g`` collected)
+    when it is given."""
     if algo in ("ebbkc-t", "ebbkc-h"):
         td = (
-            truss_decomposition_from_spark(edges_df)
+            truss_decomposition_from_spark(edges_df, g)
             if edges_df is not None
             else truss_decomposition(g)
         )
@@ -142,16 +146,22 @@ def _run_units(
                 )
 
 
-def _check_args(k: int, algo: str, et_t: int, scheme: str = "ep") -> None:
+def _check_args(
+    k: int, algo: str, et_t: int, scheme: str = "ep", n_tasks: int | None = None
+) -> None:
     """Reject bad arguments before any work starts."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
     if scheme not in ("ep", "np"):
         raise ValueError("scheme must be 'ep' or 'np'")
+    if scheme == "np" and algo in EBBKC_ALGOS:
+        raise ValueError(f"{algo} branches on edges; scheme 'np' is for VBBkC")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if et_t < 0:
         raise ValueError(f"et_t must be >= 0, got {et_t}")
+    if n_tasks is not None and n_tasks < 1:
+        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
 
 
 def run_local(
@@ -204,35 +214,32 @@ def _structures(g: LocalGraph, prep) -> dict:
 
 
 def _task_iterator_factory(bc, collect: bool):
-    """Build the mapInPandas worker: runs kernels over each batch of
-    top-branch units against the broadcast graph + orderings."""
+    """Build the mapInPandas worker: for each task id ``i`` it reads, it
+    runs the kernels over the stripe ``units[i::n_tasks]`` of the
+    broadcast unit list against the broadcast graph + orderings."""
 
     def fn(batches):
-        payload = bc.value
-        gshim = SimpleNamespace(adj=payload.get("adj"))
-        prep = payload["prep"]
-        algo, k = payload["algo"], payload["k"]
-        et_t, rule1, rule2 = payload["et_t"], payload["rule1"], payload["rule2"]
+        p = bc.value
+        gshim = SimpleNamespace(adj=p.get("adj"))
+        prep, algo, k, units, n_tasks = p["prep"], p["algo"], p["k"], p["units"], p["n_tasks"]
+        opts = {"et_t": p["et_t"], "rule1": p["rule1"], "rule2": p["rule2"]}
         for pdf in batches:
-            units = list(zip(pdf["a"].tolist(), pdf["b"].tolist()))
-            if collect:
-                cliques: list[list[int]] = []
-                _run_units(
-                    gshim, prep, algo, k, units,
-                    lambda c: cliques.append(sorted(c)),
-                    et_t=et_t, rule1=rule1, rule2=rule2,
-                )
-                yield pd.DataFrame({"clique": cliques if cliques else pd.Series(dtype="object")})
-            else:
-                cnt = 0
+            for i in pdf["id"].tolist():
+                stripe = units[i::n_tasks]
+                if collect:
+                    cliques: list[list[int]] = []
+                    _run_units(gshim, prep, algo, k, stripe,
+                               lambda c: cliques.append(sorted(c)), **opts)
+                    yield pd.DataFrame({"clique": pd.Series(cliques, dtype="object")})
+                else:
+                    cnt = 0
 
-                def out(c):
-                    nonlocal cnt
-                    cnt += 1
+                    def out(c):
+                        nonlocal cnt
+                        cnt += 1
 
-                _run_units(gshim, prep, algo, k, units, out,
-                           et_t=et_t, rule1=rule1, rule2=rule2)
-                yield pd.DataFrame({"n": [cnt]})
+                    _run_units(gshim, prep, algo, k, stripe, out, **opts)
+                    yield pd.DataFrame({"n": [cnt]})
 
     return fn
 
@@ -250,24 +257,27 @@ def _distribute(
     rule2: bool | None,
     collect: bool,
     distributed_preprocess: bool,
-) -> DataFrame:
-    """Run the k-clique job; returns DataFrame[clique] when ``collect``,
-    else DataFrame[n] of partial counts."""
-    _check_args(k, algo, et_t, scheme)
+) -> tuple[DataFrame, Broadcast | None]:
+    """Build the k-clique job: DataFrame[clique] when ``collect``, else
+    DataFrame[n] with one partial count per task, plus the broadcast it
+    reads (None for k ≤ 2, which is answered on the driver)."""
+    _check_args(k, algo, et_t, scheme, n_tasks)
     g = collect_local(edges)
     schema = "clique array<long>" if collect else "n long"
     if k <= 2:
         res = run_local(g, k, algo, collect=collect)
         rows = [(list(c),) for c in res] if collect else [(res,)]
-        return spark.createDataFrame(rows, schema=schema)
+        return spark.createDataFrame(rows, schema=schema), None
     r2 = rule2 if rule2 is not None else algo in ("ebbkc-c", "ebbkc-h")
     prep = prepare(g, algo, edges_df=edges if distributed_preprocess else None)
     units = _units(algo, scheme, prep)
     sc = spark.sparkContext
-    n_tasks = n_tasks or sc.defaultParallelism
+    n_tasks = n_tasks if n_tasks is not None else sc.defaultParallelism
     bc = sc.broadcast(
         {
             **_structures(g, prep),
+            "units": units,
+            "n_tasks": n_tasks,
             "algo": algo,
             "k": k,
             "et_t": et_t,
@@ -275,11 +285,10 @@ def _distribute(
             "rule2": r2,
         }
     )
-    pdf = pd.DataFrame(units, columns=["a", "b"], dtype="int64")
-    units_df = spark.createDataFrame(pdf, schema="a long, b long").repartition(
-        max(1, n_tasks)
+    job = spark.range(0, n_tasks, 1, n_tasks).mapInPandas(
+        _task_iterator_factory(bc, collect), schema=schema
     )
-    return units_df.mapInPandas(_task_iterator_factory(bc, collect), schema=schema)
+    return job, bc
 
 
 def count_kcliques(
@@ -296,14 +305,19 @@ def count_kcliques(
     distributed_preprocess: bool = False,
 ) -> int:
     """Distributed k-clique count. ``scheme`` picks EP or NP top-branch
-    units for VBBkC algorithms (EBBkC is edge-parallel by nature)."""
-    res = _distribute(
+    units for VBBkC algorithms (EBBkC is edge-parallel by nature and
+    rejects ``"np"``). The driver sums the per-task counts and then
+    frees the broadcast."""
+    job, bc = _distribute(
         spark, edges, k, algo, scheme=scheme, n_tasks=n_tasks, et_t=et_t,
         rule1=rule1, rule2=rule2, collect=False,
         distributed_preprocess=distributed_preprocess,
     )
-    row = res.agg(F.sum("n").alias("total")).collect()[0]
-    return int(row["total"] or 0)
+    try:
+        return sum(r["n"] for r in job.collect())
+    finally:
+        if bc is not None:
+            bc.destroy()
 
 
 def list_kcliques(
@@ -320,12 +334,13 @@ def list_kcliques(
     distributed_preprocess: bool = False,
 ) -> DataFrame:
     """Distributed k-clique listing → DataFrame[clique: array<long>],
-    each clique sorted ascending."""
+    each clique sorted ascending. The DataFrame is lazy and reads its
+    broadcast every time it runs, so the broadcast stays alive."""
     return _distribute(
         spark, edges, k, algo, scheme=scheme, n_tasks=n_tasks, et_t=et_t,
         rule1=rule1, rule2=rule2, collect=True,
         distributed_preprocess=distributed_preprocess,
-    )
+    )[0]
 
 
 def structure_bytes(g: LocalGraph, algo: str) -> int:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 
+from .core import core_decomposition
 from .loader import LocalGraph, collect_local
 from .triangles import edge_support_df, local_edge_support
 
@@ -116,10 +117,16 @@ def truss_decomposition(
     return TrussDecomposition(order=order, nbr_rank=nr, levels=levels, tau=tau)
 
 
-def truss_decomposition_from_spark(edges: DataFrame) -> TrussDecomposition:
-    """Distributed supports (DataFrame triangle joins) + driver peel."""
-    g = collect_local(edges)
-    sup_pdf = edge_support_df(edges).toPandas()
+def truss_decomposition_from_spark(
+    edges: DataFrame, g: LocalGraph | None = None
+) -> TrussDecomposition:
+    """Distributed supports (DataFrame triangle joins) + driver peel.
+
+    ``g`` is ``edges`` already collected; passing it skips the collect
+    and orients the triangle joins by its degeneracy rank."""
+    if g is None:
+        g = collect_local(edges)
+    sup_pdf = edge_support_df(edges, core_decomposition(g).rank).toPandas()
     support = {
         (int(r.u), int(r.v)): int(r.support) for r in sup_pdf.itertuples()
     }

@@ -1,5 +1,8 @@
 """Distributed engine: EP/NP fan-out over the Spark cluster vs brute force."""
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bruteforce import brute_force_count, brute_force_kcliques, check_cliques
 from repro.core.engine import (
@@ -11,6 +14,8 @@ from repro.core.engine import (
 )
 from repro.graph import generators as G
 from repro.graph.loader import LocalGraph, to_spark
+
+from .test_properties import graphs
 
 # Triangle {0, 1, 2} plus the pendant edge 2-3: 4 vertices, 4 edges.
 PAW = [(0, 1), (1, 2), (0, 2), (2, 3)]
@@ -135,6 +140,13 @@ def test_bad_arguments_raise_before_work(spark, graph, edges):
             list_kcliques(spark, edges, **args)
     with pytest.raises(ValueError):
         count_kcliques(spark, edges, 1, "ddegcol", scheme="xx")
+    # No silent fallback: n_tasks < 1 is not defaultParallelism, and
+    # EBBkC has no vertex (NP) units.
+    for kw in ({"n_tasks": 0}, {"n_tasks": -2}, {"scheme": "np"}):
+        with pytest.raises(ValueError):
+            count_kcliques(spark, edges, 3, "ebbkc-h", **kw)
+        with pytest.raises(ValueError):
+            list_kcliques(spark, edges, 3, "ebbkc-t", **kw)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -173,3 +185,85 @@ def test_truss_broadcast_ships_only_the_rank_map(spark, graph, edges, monkeypatc
     assert "adj" not in payload and "order" not in payload
     assert payload["prep"].keys() == {"kind", "nbr_rank"}
     assert payload["prep"]["nbr_rank"].keys() == graph.adj.keys()
+
+
+# (algo, scheme): EP for every algorithm here, NP for the VBBkC ones.
+FANOUTS = [(a, "ep") for a in ("ebbkc-t", "ebbkc-c", "ebbkc-h", "ddegcol", "bitcol")] + [
+    (a, "np") for a in ("ddegcol", "bitcol")
+]
+
+
+@pytest.mark.parametrize("algo,scheme", FANOUTS, ids=[f"{a}-{s}" for a, s in FANOUTS])
+@given(
+    g=graphs(),
+    k=st.integers(min_value=3, max_value=6),
+    n_tasks=st.sampled_from([1, 3, 9]),
+)
+@settings(max_examples=3, deadline=None)
+def test_fanout_matches_brute_force(spark, algo, scheme, g, k, n_tasks):
+    """Every stripe of the unit list is run exactly once: count and list
+    agree with brute force at 1 task, 3 tasks and more tasks than cores
+    (and, on small graphs, than units)."""
+    exp = brute_force_kcliques(g, k)
+    df = to_spark(spark, g)
+    kw = {"scheme": scheme, "n_tasks": n_tasks, "et_t": 2}
+    assert count_kcliques(spark, df, k, algo, **kw) == len(exp)
+    rows = list_kcliques(spark, df, k, algo, **kw).collect()
+    assert sorted(tuple(r["clique"]) for r in rows) == sorted(exp)
+
+
+@pytest.mark.parametrize("algo", ["ebbkc-h", "ddegcol"])
+def test_empty_stripes(spark, algo):
+    """More tasks than units: the empty stripes add 0 to the count and no
+    rows to the typed listing."""
+    k4 = to_spark(spark, G.complete_graph(4))  # 6 edge units, 9 tasks
+    assert count_kcliques(spark, k4, 3, algo, n_tasks=9) == 4
+    assert len(list_kcliques(spark, k4, 3, algo, n_tasks=9).collect()) == 4
+    c6 = to_spark(spark, G.cycle_graph(6))
+    assert count_kcliques(spark, c6, 3, algo, n_tasks=9) == 0
+    df = list_kcliques(spark, c6, 3, algo, n_tasks=9)
+    assert df.schema.simpleString() == "struct<clique:array<bigint>>"
+    assert df.collect() == []
+
+
+def _group_job_count(sc, group: str, timeout_s: float = 10.0) -> int:
+    """Jobs of a finished job group; the status store is fed by an
+    asynchronous listener, so poll until the count is done and steady."""
+    st_ = sc.statusTracker()
+    deadline = time.monotonic() + timeout_s
+    prev = -1
+    while True:
+        infos = [st_.getJobInfo(j) for j in st_.getJobIdsForGroup(group)]
+        done = all(i is not None and i.status == "SUCCEEDED" for i in infos)
+        if (done and len(infos) == prev) or time.monotonic() > deadline:
+            return len(infos)
+        prev = len(infos) if done else -1
+        time.sleep(0.05)
+
+
+def test_one_single_stage_job_per_call(spark, graph, edges):
+    """The fan-out has no exchange, and a count is the edge collect plus
+    one job."""
+    df = list_kcliques(spark, edges, 4, "ebbkc-h", n_tasks=3)
+    check_cliques(graph, 4, [tuple(r["clique"]) for r in df.collect()])
+    assert "Exchange" not in df._jdf.queryExecution().executedPlan().toString()
+    sc = spark.sparkContext
+    group = f"test-count-jobs-{time.monotonic_ns()}"
+    sc.setJobGroup(group, group)
+    try:
+        got = count_kcliques(spark, edges, 4, "ebbkc-h", n_tasks=4)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    assert got == brute_force_count(graph, 4)
+    assert _group_job_count(sc, group) <= 2
+
+
+def test_count_frees_its_broadcast(spark, graph, edges, monkeypatch):
+    sc = spark.sparkContext
+    sent = []
+    broadcast = sc.broadcast
+    monkeypatch.setattr(sc, "broadcast", lambda v: sent.append(broadcast(v)) or sent[-1])
+    assert count_kcliques(spark, edges, 4, "ddegcol", n_tasks=2) == brute_force_count(graph, 4)
+    (bc,) = sent
+    assert not bc._jbroadcast.isValid()
