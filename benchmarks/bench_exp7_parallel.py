@@ -29,7 +29,7 @@ def test_exp7(benchmark, spark, edges, label, algo, scheme, n_tasks):
     count = benchmark.pedantic(
         lambda: count_kcliques(
             spark, edges, K, algo, scheme=scheme, n_tasks=n_tasks,
-            et_t=policy_t(DATASET, K),
+            et_t=policy_t(DATASET, K), closed_form=False,
         ),
         rounds=1,
         iterations=1,

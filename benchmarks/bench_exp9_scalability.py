@@ -35,7 +35,8 @@ def test_exp9(benchmark, spark, cached_edges, name, k, label, algo, et):
     opts = {"et_t": policy_t(name, k)} if et else {}
     count = benchmark.pedantic(
         lambda: count_kcliques(
-            spark, cached_edges[name], k, algo, scheme="ep", n_tasks=16, **opts
+            spark, cached_edges[name], k, algo, scheme="ep", n_tasks=16,
+            closed_form=False, **opts
         ),
         rounds=1,
         iterations=1,

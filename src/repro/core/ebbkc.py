@@ -18,7 +18,8 @@ Every function takes an ``out`` sink receiving each k-clique as a
 tuple of distinct vertices (listing semantics — output cost is part of
 the measured work, as in the paper; the engine's collecting sinks sort
 each tuple), plus an ``et_t`` early-termination threshold (0 disables
-ET; see `etplex`). ``*_top_branch`` entry points process a single
+ET; see `etplex`, where an `etplex.CliqueCount` sink makes ET count
+the branches it consumes instead of listing them). ``*_top_branch`` entry points process a single
 initial-branch sub-problem so the distributed engine can fan them out
 (the paper's EP parallel scheme).
 """

@@ -17,10 +17,15 @@ steps fused) or per *vertex* (NP). The engine:
    partition drives the ``mapInPandas`` job, so there is no exchange,
 4. runs the pure-Python kernels in that single-stage job; a count call
    collects one partial count per task and the driver sums them, a
-   listing call returns the job's DataFrame of cliques.
+   listing call returns the job's DataFrame of cliques. A count call
+   counts the branches early termination consumes in closed form
+   (`etplex.CliqueCount`) instead of listing their cliques;
+   ``closed_form=False`` lists every clique into the counter, which is
+   the listing cost the paper's times include.
 
 ``run_local`` is the sequential entry point used by the single-thread
-experiments (the paper's experiments 1–6 are sequential too). Every
+experiments (the paper's experiments 1–6 are sequential too); like
+``list_kcliques`` it always lists. Every
 entry point lists k ≤ 2 through `loader.list_small_k`, and every listed
 clique is a tuple (Spark: an array) sorted ascending.
 """
@@ -34,30 +39,19 @@ import pandas as pd
 from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.graph.core import core_decomposition
+from repro.graph.core import degeneracy_dag
 from repro.graph.loader import LocalGraph, collect_local, list_small_k
 from repro.graph.truss import truss_decomposition, truss_decomposition_from_spark
 
 from . import ebbkc as _e
 from . import vbbkc as _v
+from .etplex import CliqueCount
 
 Out = Callable[[tuple[int, ...]], None]
 
 EBBKC_ALGOS = ("ebbkc-t", "ebbkc-c", "ebbkc-h")
 VBBKC_ALGOS = _v._VARIANTS
 ALGORITHMS = EBBKC_ALGOS + VBBKC_ALGOS
-
-
-def _degeneracy_dag_out(g: LocalGraph) -> tuple[list[int], dict[int, list[int]]]:
-    dec = core_decomposition(g)
-    rank = dec.rank
-    out: dict[int, list[int]] = {v: [] for v in g.adj}
-    for u, v in zip(g.us.tolist(), g.vs.tolist()):
-        if rank[u] < rank[v]:
-            out[u].append(v)
-        else:
-            out[v].append(u)
-    return dec.order, out
 
 
 def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
@@ -76,7 +70,7 @@ def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
         co = _e.ebbkc_c_prepare(g)
         return {"kind": "color", "out": co.out, "col": co.col, "vid": co.vid}
     if algo in VBBKC_ALGOS:
-        order, dag_out = _degeneracy_dag_out(g)
+        order, dag_out = degeneracy_dag(g)
         return {"kind": "degen", "order": order, "dag_out": dag_out}
     raise ValueError(f"unknown algorithm {algo!r}")
 
@@ -216,7 +210,10 @@ def _structures(g: LocalGraph, prep) -> dict:
 def _task_iterator_factory(bc, collect: bool):
     """Build the mapInPandas worker: for each task id ``i`` it reads, it
     runs the kernels over the stripe ``units[i::n_tasks]`` of the
-    broadcast unit list against the broadcast graph + orderings."""
+    broadcast unit list against the broadcast graph + orderings. A count
+    task hands the kernels a `CliqueCount`, or, when the broadcast says
+    ``closed_form`` is off, its bound ``__call__``: that is not a
+    `CliqueCount`, so early termination lists every clique into it."""
 
     def fn(batches):
         p = bc.value
@@ -232,14 +229,10 @@ def _task_iterator_factory(bc, collect: bool):
                                lambda c: cliques.append(sorted(c)), **opts)
                     yield pd.DataFrame({"clique": pd.Series(cliques, dtype="object")})
                 else:
-                    cnt = 0
-
-                    def out(c):
-                        nonlocal cnt
-                        cnt += 1
-
+                    sink = CliqueCount()
+                    out = sink if p["closed_form"] else sink.__call__
                     _run_units(gshim, prep, algo, k, stripe, out, **opts)
-                    yield pd.DataFrame({"n": [cnt]})
+                    yield pd.DataFrame({"n": [sink.n]})
 
     return fn
 
@@ -257,6 +250,7 @@ def _distribute(
     rule2: bool | None,
     collect: bool,
     distributed_preprocess: bool,
+    closed_form: bool = False,
 ) -> tuple[DataFrame, Broadcast | None]:
     """Build the k-clique job: DataFrame[clique] when ``collect``, else
     DataFrame[n] with one partial count per task, plus the broadcast it
@@ -283,6 +277,7 @@ def _distribute(
             "et_t": et_t,
             "rule1": rule1,
             "rule2": r2,
+            "closed_form": closed_form,
         }
     )
     job = spark.range(0, n_tasks, 1, n_tasks).mapInPandas(
@@ -303,15 +298,23 @@ def count_kcliques(
     rule1: bool = True,
     rule2: bool | None = None,
     distributed_preprocess: bool = False,
+    closed_form: bool = True,
 ) -> int:
     """Distributed k-clique count. ``scheme`` picks EP or NP top-branch
     units for VBBkC algorithms (EBBkC is edge-parallel by nature and
     rejects ``"np"``). The driver sums the per-task counts and then
-    frees the broadcast."""
+    frees the broadcast.
+
+    With ``closed_form`` (the default) a branch that early termination
+    consumes adds its clique count in O(l) arithmetic (kC2Plex) or by
+    kCtPlex's branching with C(|I|, l₂) for the all-adjacent set, and
+    lists nothing. ``closed_form=False`` lists every clique into the
+    counter, the listing cost `run_local` and `list_kcliques` pay
+    (experiments 7 and 9 time that)."""
     job, bc = _distribute(
         spark, edges, k, algo, scheme=scheme, n_tasks=n_tasks, et_t=et_t,
         rule1=rule1, rule2=rule2, collect=False,
-        distributed_preprocess=distributed_preprocess,
+        distributed_preprocess=distributed_preprocess, closed_form=closed_form,
     )
     try:
         return sum(r["n"] for r in job.collect())

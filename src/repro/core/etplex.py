@@ -7,24 +7,46 @@
 * :func:`list_cliques_tplex` — kCtPlex (Algorithm 7): when the branch
   graph is a t-plex (t ≥ 3), branch on the sparse *inverse* graph,
   with the all-adjacent vertex set I completed combinatorially.
+* :func:`count_cliques_2plex` / :func:`count_cliques_tplex` — the same
+  two procedures counting instead of listing: a 2-plex with f full
+  vertices and p non-adjacent pairs has Σ_j C(p, j)·2^j·C(f, l − j)
+  l-cliques, and kCtPlex finishes I with C(|I|, l₂).
 * :func:`try_early_terminate` — the dispatch used inside the BB
   kernels: checks the branch graph's plexity against the threshold t
   and runs the matching procedure, returning True when it consumed the
   branch.
 
-All procedures *enumerate* every clique (the paper's task is listing,
-and reported times include output), emitting each as a tuple of
-distinct vertices, in no particular order, to ``out`` (the engine's
-collecting sinks sort them).
+The listing procedures emit every clique (the paper's task is listing,
+and reported times include output) as a tuple of distinct vertices, in
+no particular order, to ``out`` (the engine's collecting sinks sort
+them). Only a :class:`CliqueCount` sink switches `try_early_terminate`
+to the closed-form counts; the Spark count path passes one.
 """
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Callable
 
 from repro.graph.plex import inverse_adj, partition_2plex, plexity
 
 Out = Callable[[tuple[int, ...]], None]
+
+
+class CliqueCount:
+    """Counting sink: ``n`` is the number of cliques it has received.
+
+    A branch that `try_early_terminate` consumes adds its clique count to
+    ``n`` in closed form instead of calling the sink once per clique.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self) -> None:
+        self.n = 0
+
+    def __call__(self, c: tuple[int, ...]) -> None:
+        self.n += 1
 
 
 def list_cliques_2plex(
@@ -102,6 +124,42 @@ def list_cliques_tplex(
     rec(s, c0, l)
 
 
+def count_cliques_2plex(n_full: int, n_pairs: int, l: int) -> int:
+    """Number of l-cliques of a 2-plex with ``n_full`` vertices adjacent
+    to all others and ``n_pairs`` non-adjacent pairs: choose j pairs,
+    one member of each, and the other l − j members from F."""
+    return sum(
+        comb(n_pairs, j) * 2**j * comb(n_full, l - j)
+        for j in range(min(n_pairs, l) + 1)
+    )
+
+
+def count_cliques_tplex(verts: set[int], adj: dict[int, set[int]], l: int) -> int:
+    """Number of l-cliques of the t-plex (verts, adj): kCtPlex's branching
+    over the inverse graph, with C(|I|, l₂) in place of enumerating the
+    all-adjacent set I."""
+    if l < 0:
+        return 0
+    inv = inverse_adj(verts, adj)
+    n_i = sum(1 for v in verts if not inv[v])
+    c0 = sorted(v for v in verts if inv[v])
+
+    def rec(c: list[int], l2: int) -> int:
+        if l2 == 0:
+            return 1
+        if l2 == 1:
+            return n_i + len(c)
+        n = comb(n_i, l2)
+        for i, v in enumerate(c):
+            non_nb = inv[v]
+            ci = [w for w in c[i + 1 :] if w not in non_nb]
+            if len(ci) + n_i >= l2 - 1:
+                n += rec(ci, l2 - 1)
+        return n
+
+    return rec(c0, l)
+
+
 def try_early_terminate(
     s: tuple[int, ...],
     verts: set[int],
@@ -111,7 +169,8 @@ def try_early_terminate(
     out: Out,
 ) -> bool:
     """If (verts, adj) is a t-plex with t ≤ ``t_max``, list its l-cliques
-    with the matching specialized procedure and return True.
+    with the matching specialized procedure and return True. When ``out``
+    is a :class:`CliqueCount`, add their number to ``out.n`` instead.
 
     ``t_max`` ≤ 0 disables early termination entirely. The paper's
     default policy (Section 6.1) is t = 2 for k ≤ τ/2 and t = 3 for
@@ -119,6 +178,8 @@ def try_early_terminate(
     """
     if t_max <= 0 or not verts:
         return False
+    if type(out) is CliqueCount:
+        return _count_early_terminate(verts, adj, l, t_max, out)
     # Early-exit scan: g is a t_max-plex iff every induced degree is
     # ≥ |V| − t_max. Most branches fail on the first vertex, making the
     # check cheap (the paper maintains min degree during construction
@@ -136,6 +197,30 @@ def try_early_terminate(
         list_cliques_2plex(s, verts, adj, l, out)
     else:
         list_cliques_tplex(s, verts, adj, l, out)
+    return True
+
+
+def _count_early_terminate(
+    verts: set[int], adj: dict[int, set[int]], l: int, t_max: int, out: CliqueCount
+) -> bool:
+    """`try_early_terminate` for a counting sink: the same plexity scan,
+    which also tallies the full vertices f, then the closed-form count."""
+    n = len(verts)
+    need = n - t_max
+    min_deg = n
+    n_full = 0
+    for w in verts:
+        d = len(adj[w] & verts)
+        if d < need:
+            return False
+        if d < min_deg:
+            min_deg = d
+        if d == n - 1:
+            n_full += 1
+    if n - min_deg <= 2:
+        out.n += count_cliques_2plex(n_full, (n - n_full) // 2, l)
+    else:
+        out.n += count_cliques_tplex(verts, adj, l)
     return True
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.graph.coloring import subgraph_color_ordering
-from repro.graph.core import CoreDecomposition, core_decomposition
+from repro.graph.core import CoreDecomposition, core_decomposition, degeneracy_dag
 from repro.graph.loader import LocalGraph, list_small_k
 
 from .etplex import try_early_terminate
@@ -267,19 +267,13 @@ def vbbkc(
     if list_small_k(g, k, out):
         return
     dec = core if core is not None else vbbkc_prepare(g)
-    rank = dec.rank
-    dag_out: dict[int, list[int]] = {v: [] for v in g.adj}
-    for u, v in zip(g.us.tolist(), g.vs.tolist()):
-        if rank[u] < rank[v]:
-            dag_out[u].append(v)
-        else:
-            dag_out[v].append(u)
+    order, dag_out = degeneracy_dag(g, dec)
     if variant == "degen":
-        vid = rank
+        vid = dec.rank
         dag = {v: set(nb) for v, nb in dag_out.items()}
         _rec_v((), set(g.adj), k, dag, vid, None, g.adj, et_t, rule2, out)
         return
-    for v in dec.order:
+    for v in order:
         vbbkc_top_branch_vertex(
             g, dag_out, v, k, out, variant=variant, rule2=rule2, et_t=et_t
         )

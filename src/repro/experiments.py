@@ -10,6 +10,8 @@ Protocol notes carried over from the paper (Section 6.1):
 * reported times include preprocessing and ordering generation
   (``run_local``/``count_kcliques`` recompute them per run);
 * the ET threshold policy is t = 2 for k ≤ τ/2 and t = 3 otherwise;
+* times include listing every clique, so the Spark experiments (7, 9)
+  call ``count_kcliques(..., closed_form=False)``;
 * k starts at 4 (k = 3 reduces to triangle listing).
 """
 from __future__ import annotations
@@ -223,7 +225,8 @@ def exp7_rows(
         ]:
             t0 = time.perf_counter()
             count = count_kcliques(
-                spark, edges, k, algo, scheme=scheme, n_tasks=n_tasks, et_t=t
+                spark, edges, k, algo, scheme=scheme, n_tasks=n_tasks, et_t=t,
+                closed_form=False,
             )
             rows.append(
                 {
@@ -283,7 +286,8 @@ def exp9_rows(
             ]:
                 t0 = time.perf_counter()
                 count = count_kcliques(
-                    spark, edges, k, algo, scheme="ep", n_tasks=n_tasks, **opts
+                    spark, edges, k, algo, scheme="ep", n_tasks=n_tasks,
+                    closed_form=False, **opts
                 )
                 rows.append(
                     {

@@ -102,14 +102,17 @@ def k_core(g: LocalGraph, k: int) -> set[int]:
     return {v for v, c in dec.core_number.items() if c >= k}
 
 
-def degeneracy_dag(g: LocalGraph) -> tuple[list[int], dict[int, list[int]]]:
+def degeneracy_dag(
+    g: LocalGraph, core: CoreDecomposition | None = None
+) -> tuple[list[int], dict[int, list[int]]]:
     """Orient edges along the degeneracy ordering.
 
-    Returns ``(order, out)`` where ``out[v]`` lists the neighbors of v
-    that come *after* v in the degeneracy ordering — each |out[v]| ≤ δ,
-    the bound VBBkC's complexity rests on.
+    Returns ``(order, out)`` where ``out[v]`` lists, in no particular
+    order, the neighbors of v that come *after* v in the degeneracy
+    ordering — each |out[v]| ≤ δ, the bound VBBkC's complexity rests on.
+    ``core`` is a precomputed peel of ``g``; without it ``g`` is peeled.
     """
-    dec = core_decomposition(g)
+    dec = core if core is not None else core_decomposition(g)
     rank = dec.rank
     out: dict[int, list[int]] = {v: [] for v in g.adj}
     for u, v in zip(g.us.tolist(), g.vs.tolist()):
@@ -117,8 +120,6 @@ def degeneracy_dag(g: LocalGraph) -> tuple[list[int], dict[int, list[int]]]:
             out[u].append(v)
         else:
             out[v].append(u)
-    for v in out:
-        out[v].sort(key=rank.__getitem__)
     return dec.order, out
 
 

@@ -7,15 +7,19 @@ from hypothesis import given, settings, strategies as st
 from repro.core.bruteforce import brute_force_count, brute_force_kcliques, check_cliques
 from repro.core.engine import (
     ALGORITHMS,
+    _run_units,
+    _units,
     count_kcliques,
     list_kcliques,
+    prepare,
     run_local,
     structure_bytes,
 )
+from repro.core.etplex import CliqueCount
 from repro.graph import generators as G
 from repro.graph.loader import LocalGraph, to_spark
 
-from .test_properties import graphs
+from .test_properties import graphs, near_complete_graphs
 
 # Triangle {0, 1, 2} plus the pendant edge 2-3: 4 vertices, 4 edges.
 PAW = [(0, 1), (1, 2), (0, 2), (2, 3)]
@@ -267,3 +271,46 @@ def test_count_frees_its_broadcast(spark, graph, edges, monkeypatch):
     assert count_kcliques(spark, edges, 4, "ddegcol", n_tasks=2) == brute_force_count(graph, 4)
     (bc,) = sent
     assert not bc._jbroadcast.isValid()
+
+
+# Every unit-based algorithm: EP units for all, NP units for VBBkC too.
+UNIT_RUNS = [(a, "ep") for a in ("ebbkc-t", "ebbkc-c", "ebbkc-h")] + [
+    (a, s) for a in ("ddegree", "ddegcol", "sdegree", "bitcol") for s in ("ep", "np")
+]
+
+
+@pytest.mark.parametrize("algo,scheme", UNIT_RUNS, ids=[f"{a}-{s}" for a, s in UNIT_RUNS])
+@given(
+    g=st.one_of(graphs(max_n=16), near_complete_graphs()),
+    k=st.integers(min_value=3, max_value=8),
+    et_t=st.integers(min_value=0, max_value=5),
+)
+@settings(max_examples=20, deadline=None)
+def test_count_mode_matches_listing(algo, scheme, g, k, et_t):
+    """The kernels the Spark worker runs: a CliqueCount sink (closed-form
+    early termination) counts exactly what a listing sink lists, and
+    both match brute force."""
+    exp = brute_force_kcliques(g, k)
+    prep = prepare(g, algo)
+    units = _units(algo, scheme, prep)
+    opts = {"et_t": et_t, "rule1": True, "rule2": algo in ("ebbkc-c", "ebbkc-h")}
+    listed: list[tuple[int, ...]] = []
+    _run_units(g, prep, algo, k, units, listed.append, **opts)
+    assert sorted(tuple(sorted(c)) for c in listed) == exp
+    sink = CliqueCount()
+    _run_units(g, prep, algo, k, units, sink, **opts)
+    assert sink.n == len(exp)
+
+
+def test_count_closed_form_on_spark(spark):
+    """On a dense graph, where early termination meets cliques, 2-plexes
+    with pairs and (at et_t = 3) 3-plexes with a non-empty all-adjacent
+    set, the closed-form count, the listed count and brute force agree."""
+    g = G.random_t_plex(16, 4, seed=3)  # 317 5-cliques
+    df = to_spark(spark, g)
+    exp = brute_force_count(g, 5)
+    for n_tasks in (1, 3):
+        for et_t in (2, 3):
+            kw = {"n_tasks": n_tasks, "et_t": et_t}
+            assert count_kcliques(spark, df, 5, closed_form=True, **kw) == exp
+            assert count_kcliques(spark, df, 5, closed_form=False, **kw) == exp

@@ -1,14 +1,20 @@
-"""Early-termination procedures kC2Plex / kCtPlex vs brute force."""
+"""Early-termination procedures kC2Plex / kCtPlex vs brute force, and
+their closed-form counts vs the listing."""
 import pytest
 
 from repro.core.bruteforce import brute_force_in_subset
 from repro.core.etplex import (
+    CliqueCount,
+    count_cliques_2plex,
+    count_cliques_tplex,
     default_t_threshold,
     list_cliques_2plex,
     list_cliques_tplex,
     try_early_terminate,
 )
 from repro.graph import generators as G
+from repro.graph.loader import LocalGraph
+from repro.graph.plex import partition_2plex
 
 
 def _norm(cliques):
@@ -18,12 +24,17 @@ def _norm(cliques):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("n", [4, 7, 10])
 def test_kc2plex_matches_brute_force(seed, n):
+    """l = 0 lists S alone and l > |V| lists nothing; the closed-form
+    count agrees with the listing at every l."""
     g = G.random_t_plex(n, 2, seed=seed)
     verts = set(g.adj)
-    for l in range(1, n + 1):
+    f, left, _ = partition_2plex(verts, g.adj)
+    for l in range(0, n + 2):
         got = []
         list_cliques_2plex((), verts, g.adj, l, got.append)
-        assert _norm(got) == _norm(brute_force_in_subset(g, verts, l))
+        if l:
+            assert _norm(got) == _norm(brute_force_in_subset(g, verts, l))
+        assert count_cliques_2plex(len(f), len(left), l) == len(got)
 
 
 def test_kc2plex_on_pure_clique():
@@ -32,6 +43,7 @@ def test_kc2plex_on_pure_clique():
     list_cliques_2plex((), set(g.adj), g.adj, 4, got.append)
     assert len(got) == 35  # C(7,4)
     assert len(set(_norm(got))) == 35
+    assert count_cliques_2plex(7, 0, 4) == 35  # p = 0
 
 
 def test_kc2plex_prepends_s():
@@ -53,10 +65,12 @@ def test_kc2plex_l_zero_emits_s():
 def test_kctplex_matches_brute_force(seed, t):
     g = G.random_t_plex(10, t, seed=seed)
     verts = set(g.adj)
-    for l in range(1, 9):
+    for l in range(0, 12):
         got = []
         list_cliques_tplex((), verts, g.adj, l, got.append)
-        assert _norm(got) == _norm(brute_force_in_subset(g, verts, l))
+        if l:
+            assert _norm(got) == _norm(brute_force_in_subset(g, verts, l))
+        assert count_cliques_tplex(verts, g.adj, l) == len(got)
 
 
 def test_kctplex_handles_all_adjacent_set():
@@ -66,6 +80,26 @@ def test_kctplex_handles_all_adjacent_set():
     got = []
     list_cliques_tplex((), set(g.adj), g.adj, 3, got.append)
     assert len(got) == 20  # C(6,3)
+    assert count_cliques_tplex(set(g.adj), g.adj, 3) == 20
+
+
+# K_8 minus 01, 02, 13: a 3-plex whose all-adjacent set I = {4..7}.
+PLEX3_WITH_I = LocalGraph.from_pairs(
+    [(i, j) for i in range(8) for j in range(i + 1, 8) if (i, j) not in {(0, 1), (0, 2), (1, 3)}]
+)
+
+
+def test_kctplex_count_with_all_adjacent_set():
+    """Both halves of kCtPlex at once: branching over C0 = {0..3} and
+    C(|I|, l₂) over I = {4..7}."""
+    g = PLEX3_WITH_I
+    verts = set(g.adj)
+    for l in range(0, 10):
+        got = []
+        list_cliques_tplex((), verts, g.adj, l, got.append)
+        if l:
+            assert _norm(got) == _norm(brute_force_in_subset(g, verts, l))
+        assert count_cliques_tplex(verts, g.adj, l) == len(got)
 
 
 def test_kctplex_on_sparse_2plex_still_correct():
@@ -78,25 +112,42 @@ def test_kctplex_on_sparse_2plex_still_correct():
 def test_try_early_terminate_disabled():
     g = G.complete_graph(5)
     assert not try_early_terminate((), set(g.adj), g.adj, 3, 0, lambda c: None)
+    sink = CliqueCount()
+    assert not try_early_terminate((), set(g.adj), g.adj, 3, 0, sink)
+    assert sink.n == 0
 
 
 def test_try_early_terminate_rejects_sparse():
     g = G.cycle_graph(8)  # plexity 6
     assert not try_early_terminate((), set(g.adj), g.adj, 3, 3, lambda c: None)
+    sink = CliqueCount()
+    sink.n = 5
+    assert not try_early_terminate((), set(g.adj), g.adj, 3, 3, sink)
+    assert sink.n == 5
+
+
+def _et_list_and_count(g, l, t_max):
+    """try_early_terminate with a listing sink and with a CliqueCount that
+    already holds 7 cliques: (listed cliques, cliques the count added)."""
+    got, sink = [], CliqueCount()
+    sink.n = 7
+    assert try_early_terminate((), set(g.adj), g.adj, l, t_max, got.append)
+    assert try_early_terminate((), set(g.adj), g.adj, l, t_max, sink)
+    return got, sink.n - 7
 
 
 def test_try_early_terminate_dispatches_2plex():
     g = G.random_t_plex(8, 2, seed=1)
-    got = []
-    assert try_early_terminate((), set(g.adj), g.adj, 3, 2, got.append)
+    got, added = _et_list_and_count(g, 3, 2)
     assert _norm(got) == _norm(brute_force_in_subset(g, set(g.adj), 3))
+    assert added == len(got)
 
 
 def test_try_early_terminate_dispatches_tplex():
-    g = G.random_t_plex(9, 4, seed=2)
-    got = []
-    assert try_early_terminate((), set(g.adj), g.adj, 3, 4, got.append)
-    assert _norm(got) == _norm(brute_force_in_subset(g, set(g.adj), 3))
+    for g, t_max in ((G.random_t_plex(9, 4, seed=2), 4), (PLEX3_WITH_I, 3)):
+        got, added = _et_list_and_count(g, 3, t_max)
+        assert _norm(got) == _norm(brute_force_in_subset(g, set(g.adj), 3))
+        assert added == len(got)
 
 
 def test_try_early_terminate_superset_adjacency():

@@ -69,10 +69,16 @@ def test_exp8_rows_fields():
     assert by_algo["EBBkC+ET"] >= by_algo["DDegCol"]
 
 
-def test_exp7_rows_spark(spark):
+def test_exp7_rows_spark(spark, monkeypatch):
+    """Experiment 7 times listing (the paper's times include output), so
+    every count call turns the closed-form count off."""
+    calls = []
+    count = E.count_kcliques
+    monkeypatch.setattr(E, "count_kcliques", lambda *a, **kw: calls.append(kw) or count(*a, **kw))
     rows = E.exp7_rows(spark, dataset="wk", k=6, task_counts=(2,))
     assert len(rows) == 3
     assert len({r["count"] for r in rows}) == 1
+    assert len(calls) == 3 and all(kw["closed_form"] is False for kw in calls)
 
 
 def test_format_rows_renders():

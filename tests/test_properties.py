@@ -27,6 +27,19 @@ def graphs(draw, max_n=14):
     return LocalGraph.from_pairs(pairs)
 
 
+@st.composite
+def near_complete_graphs(draw, max_n=16):
+    """K_n minus a few random edges: dense enough that early termination
+    meets 2-plexes with non-adjacent pairs and t-plexes (t ≥ 3) whose
+    all-adjacent set is not empty."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    vert = st.integers(min_value=0, max_value=n - 1)
+    drop = {frozenset(p) for p in draw(st.lists(st.tuples(vert, vert), max_size=n))}
+    return LocalGraph.from_pairs(
+        [(i, j) for i in range(n) for j in range(i + 1, n) if {i, j} not in drop]
+    )
+
+
 @given(graphs(), st.integers(min_value=3, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_all_algorithms_agree_with_brute_force(g, k):
