@@ -21,7 +21,9 @@ each tuple), plus an ``et_t`` early-termination threshold (0 disables
 ET; see `etplex`, where an `etplex.CliqueCount` sink makes ET count
 the branches it consumes instead of listing them). ``*_top_branch`` entry points process a single
 initial-branch sub-problem so the distributed engine can fan them out
-(the paper's EP parallel scheme).
+(the paper's EP parallel scheme); :func:`initial_branches` picks the
+truss-ordered ones that can hold a k-clique, for the whole-graph runs
+and the engine alike.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from typing import Callable
 
 from repro.graph.coloring import ColorOrdering, color_ordering, subgraph_color_ordering
 from repro.graph.loader import LocalGraph, list_small_k
-from repro.graph.truss import TrussDecomposition, truss_decomposition
+from repro.graph.truss import Edge, TrussDecomposition, truss_decomposition
 
 from .etplex import try_early_terminate
 
@@ -49,6 +51,13 @@ def _initial_branch(nr: NbrRank, u: int, v: int) -> tuple[int, set[int]]:
     nu, nv = nr[u], nr[v]
     r = nu[v]
     return r, {w for w in nu.keys() & nv.keys() if nu[w] > r and nv[w] > r}
+
+
+def initial_branches(order: list[Edge], sizes: list[int], k: int) -> list[Edge]:
+    """The edges of π_τ whose initial branch g_i can hold a k-clique, in
+    π_τ order: |g_i| = ``sizes[i]`` ≥ k − 2 (Algorithm 2's size prune,
+    read off the truss peel instead of slicing g_i)."""
+    return [e for e, s in zip(order, sizes) if s >= k - 2]
 
 
 def _branch_adj(nr: NbrRank, verts: set[int], min_rank: int) -> dict[int, set[int]]:
@@ -133,7 +142,7 @@ def ebbkc_t(
     if list_small_k(g, k, out):
         return
     td = truss if truss is not None else ebbkc_t_prepare(g)
-    for u, v in td.order:
+    for u, v in initial_branches(td.order, td.sizes, k):
         ebbkc_t_top_branch(td.nbr_rank, u, v, k, out, et_t)
 
 
@@ -289,5 +298,5 @@ def ebbkc_h(
     if list_small_k(g, k, out):
         return
     td = truss if truss is not None else ebbkc_t_prepare(g)
-    for u, v in td.order:
+    for u, v in initial_branches(td.order, td.sizes, k):
         ebbkc_h_top_branch(td.nbr_rank, u, v, k, out, et_t, rule1, rule2)

@@ -9,12 +9,16 @@ steps fused) or per *vertex* (NP). The engine:
    preprocessing on the driver (truss peel / coloring / degeneracy DAG;
    per-edge supports can come from the distributed triangle dataflow),
 2. broadcasts the structures the kernels read: for the truss-ordered
-   EBBkC-T/H only the per-vertex rank map ``nbr_rank`` (its keys are the
+   EBBkC-T/H only the k-truss part of the per-vertex rank map
+   ``nbr_rank`` (the ranks ≥ that of the first unit; its keys are the
    adjacency), otherwise the adjacency + ordering structures,
-3. puts the top-branch unit list in the same broadcast; task ``i`` of
-   ``n_tasks`` takes the stripe ``units[i::n_tasks]`` in `_units` order
-   (no cost model), and ``spark.range(n_tasks)`` with one row per
-   partition drives the ``mapInPandas`` job, so there is no exchange,
+3. puts the top-branch unit list in the same broadcast. For EBBkC-T/H
+   the units are the edges whose initial branch has |g_i| ≥ k − 2
+   vertices (the truss peel records |g_i|), in π_τ order; no other
+   branch can hold a k-clique. Task ``i`` of ``n_tasks`` takes the
+   stripe ``units[i::n_tasks]`` in `_units` order (no cost model), and
+   ``spark.range(n_tasks)`` with one row per partition drives the
+   ``mapInPandas`` job, so there is no exchange,
 4. runs the pure-Python kernels in that single-stage job; a count call
    collects one partial count per task and the driver sums them, a
    listing call returns the job's DataFrame of cliques. A count call
@@ -65,7 +69,7 @@ def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
             if edges_df is not None
             else truss_decomposition(g)
         )
-        return {"kind": "truss", "nbr_rank": td.nbr_rank}
+        return {"kind": "truss", "nbr_rank": td.nbr_rank, "order": td.order, "sizes": td.sizes}
     if algo == "ebbkc-c":
         co = _e.ebbkc_c_prepare(g)
         return {"kind": "color", "out": co.out, "col": co.col, "vid": co.vid}
@@ -75,12 +79,11 @@ def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _units(algo: str, scheme: str, prep) -> list[tuple[int, int]]:
-    """Top-branch units as (a, b) pairs; NP units use b = -1."""
+def _units(algo: str, scheme: str, prep, k: int) -> list[tuple[int, int]]:
+    """Top-branch units as (a, b) pairs; NP units use b = -1. EBBkC-T/H
+    units are the initial branches that can hold a k-clique."""
     if algo in ("ebbkc-t", "ebbkc-h"):
-        # Each initial branch reads its ranks from the map, so the units
-        # need not follow π_τ.
-        return [(u, w) for u, nb in prep["nbr_rank"].items() for w in nb if u < w]
+        return _e.initial_branches(prep["order"], prep["sizes"], k)
     if algo == "ebbkc-c":
         vid = prep["vid"]
         units = [
@@ -194,17 +197,31 @@ def run_local(
         return sink if collect else n
     if prep is None:
         prep = prepare(g, algo)
-    units = _units(algo, "ep" if algo.startswith("ebbkc") else "np", prep)
+    units = _units(algo, "ep" if algo.startswith("ebbkc") else "np", prep, k)
     _run_units(g, prep, algo, k, units, out, et_t=et_t, rule1=rule1, rule2=r2)
     return sink if collect else n
 
 
-def _structures(g: LocalGraph, prep) -> dict:
+def _structures(g: LocalGraph, prep, units=None) -> dict:
     """The graph structures a Spark task reads: the truss rank map alone
-    (its keys are the adjacency), else the adjacency + ``prep``."""
-    if prep["kind"] == "truss":
-        return {"prep": prep}
-    return {"adj": g.adj, "prep": prep}
+    (its keys are the adjacency), else the adjacency + ``prep``.
+
+    Given the truss-ordered ``units`` (in π_τ order), the map holds only
+    the ranks from the first unit's on: the k-truss, as truss numbers
+    never decrease along π_τ. Every rank a unit's branch reads is above
+    its own, so the kernels see the same branches."""
+    if prep["kind"] != "truss":
+        return {"adj": g.adj, "prep": prep}
+    nr = prep["nbr_rank"]
+    if units is not None:
+        order = prep["order"]
+        p0 = nr[units[0][0]][units[0][1]] if units else len(order)
+        nr = {}
+        for i in range(p0, len(order)):
+            u, v = order[i]
+            nr.setdefault(u, {})[v] = i
+            nr.setdefault(v, {})[u] = i
+    return {"prep": {"kind": "truss", "nbr_rank": nr}}
 
 
 def _task_iterator_factory(bc, collect: bool):
@@ -264,12 +281,12 @@ def _distribute(
         return spark.createDataFrame(rows, schema=schema), None
     r2 = rule2 if rule2 is not None else algo in ("ebbkc-c", "ebbkc-h")
     prep = prepare(g, algo, edges_df=edges if distributed_preprocess else None)
-    units = _units(algo, scheme, prep)
+    units = _units(algo, scheme, prep, k)
     sc = spark.sparkContext
     n_tasks = n_tasks if n_tasks is not None else sc.defaultParallelism
     bc = sc.broadcast(
         {
-            **_structures(g, prep),
+            **_structures(g, prep, units),
             "units": units,
             "n_tasks": n_tasks,
             "algo": algo,
@@ -347,6 +364,7 @@ def list_kcliques(
 
 
 def structure_bytes(g: LocalGraph, algo: str) -> int:
-    """Pickled size of the structures the engine broadcasts for ``algo``
-    (experiment 8's space proxy)."""
+    """Pickled size of the k-independent structures the engine
+    broadcasts for ``algo`` (experiment 8's space proxy): the whole truss
+    rank map, not the k-truss part one call ships."""
     return len(pickle.dumps(_structures(g, prepare(g, algo))))

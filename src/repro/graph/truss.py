@@ -11,17 +11,30 @@ Initial per-edge supports come from the distributed triangle dataflow
 (`triangles.edge_support_df`); the peel itself is the sequential bucket
 loop below (O(m^1.5) with set intersections), run on the driver.
 
-The peel's product for the kernels is the per-vertex rank map
-``nbr_rank[u][w]`` = position of edge {u, w} in π_τ, stored in both
-directions. Its keys are the adjacency, so EBBkC-T/H slice a branch
-with plain dict reads and the Spark engine ships the map alone. During
-the peel the same map is the remaining graph, holding edge ids: a
-removed edge leaves it, and every edge is written back with its
-position once the peel ends.
+The peel has two products for the kernels:
+
+* the per-vertex rank map ``nbr_rank[u][w]`` = position of edge {u, w}
+  in π_τ, stored in both directions. Its keys are the adjacency, so
+  EBBkC-T/H slice a branch with plain dict reads. During the peel the
+  same map is the remaining graph, holding edge ids: a removed edge
+  leaves it, and every edge is written back with its position once the
+  peel ends;
+* ``sizes[i]``, the support at which the peel removes ``order[i]``. It
+  equals |g_i|, the size of that edge's initial branch: the common
+  neighbours still present at its removal are exactly those whose two
+  edges come after it in π_τ.
+
+Algorithm 2 discards a branch with fewer than k − 2 vertices, so the
+engine's units are only the edges with ``sizes[i] ≥ k − 2``; the rest
+are never sliced. Truss numbers (the running max of ``sizes``, + 2)
+never decrease along π_τ, so the k-truss is the suffix of π_τ from the
+first kept edge. A kept branch reads no rank below its own, so the
+Spark engine ships only that part of the rank map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from pyspark.sql import DataFrame
 
@@ -36,15 +49,18 @@ Edge = tuple[int, int]
 class TrussDecomposition:
     """``order`` is π_τ (edges in removal order, canonical u < v);
     ``nbr_rank[u][w]`` = ``nbr_rank[w][u]`` is the position of edge
-    {u, w} in ``order``; ``levels[i]`` is the classic truss number of
-    ``order[i]`` (max k with the edge in the k-truss, ≥ 2); ``tau`` =
-    k_max − 2 = max support-at-removal.
+    {u, w} in ``order``; ``sizes[i]`` is the support-at-removal of
+    ``order[i]``, which is |g_i|, the size of its initial branch.
     """
 
     order: list[Edge]
     nbr_rank: dict[int, dict[int, int]]
-    levels: list[int]
-    tau: int
+    sizes: list[int]
+
+    @property
+    def tau(self) -> int:
+        """k_max − 2 = max support-at-removal."""
+        return max(self.sizes, default=0)
 
     @property
     def rank(self) -> dict[Edge, int]:
@@ -53,8 +69,9 @@ class TrussDecomposition:
 
     @property
     def truss_number(self) -> dict[Edge, int]:
-        """Edge → truss number t(e)."""
-        return dict(zip(self.order, self.levels))
+        """Edge → truss number t(e) (max k with the edge in the k-truss,
+        ≥ 2): the running max of ``sizes``, + 2."""
+        return {e: t + 2 for e, t in zip(self.order, accumulate(self.sizes, max))}
 
     @property
     def k_max(self) -> int:
@@ -68,8 +85,8 @@ def truss_decomposition(
 
     Repeatedly removes a minimum-support edge; when (u, v) goes, the
     support of (u, w) and (v, w) drops for every remaining common
-    neighbor w. Support-at-removal is monotone under the running max,
-    which yields both the truss numbers and τ. ``support`` (edge →
+    neighbor w. Each edge's support-at-removal goes to ``sizes``; its
+    running max yields the truss numbers and τ. ``support`` (edge →
     triangle count) fixes the edge ids: id i is its i-th key.
     """
     if support is None:
@@ -85,8 +102,8 @@ def truss_decomposition(
     for i, s in enumerate(sup):
         buckets[s].append(i)
     order: list[Edge] = []
-    levels: list[int] = []
-    tau = d = 0
+    sizes: list[int] = []
+    d = 0
     for _ in ends:
         while True:
             while not buckets[d]:
@@ -96,9 +113,7 @@ def truss_decomposition(
                 break
         sup[i] = -1
         e = u, v = ends[i]
-        if d > tau:
-            tau = d
-        levels.append(tau + 2)
+        sizes.append(d)
         order.append(e)
         nu, nv = nr[u], nr[v]
         del nu[v], nv[u]
@@ -114,7 +129,7 @@ def truss_decomposition(
             d -= 1
     for p, (u, v) in enumerate(order):
         nr[u][v] = nr[v][u] = p
-    return TrussDecomposition(order=order, nbr_rank=nr, levels=levels, tau=tau)
+    return TrussDecomposition(order=order, nbr_rank=nr, sizes=sizes)
 
 
 def truss_decomposition_from_spark(

@@ -1,5 +1,6 @@
 """Distributed engine: EP/NP fan-out over the Spark cluster vs brute force."""
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,8 @@ from repro.core.engine import (
 )
 from repro.core.etplex import CliqueCount
 from repro.graph import generators as G
-from repro.graph.loader import LocalGraph, to_spark
+from repro.graph.loader import LocalGraph, collect_local, to_spark
+from repro.graph.truss import truss_decomposition
 
 from .test_properties import graphs, near_complete_graphs
 
@@ -180,15 +182,29 @@ def test_truss_kernels_match_brute_force(algo, et_t):
 
 
 def test_truss_broadcast_ships_only_the_rank_map(spark, graph, edges, monkeypatch):
+    """A truss-ordered call ships no adjacency and, of the rank map, only
+    the k-truss part: ranks from p0, the first edge whose initial branch
+    can hold a k-clique, on. The units are those edges (|g_i| ≥ k − 2),
+    and the shipped map holds every edge of every k-clique."""
     sc = spark.sparkContext
     sent = []
     broadcast = sc.broadcast
     monkeypatch.setattr(sc, "broadcast", lambda v: sent.append(v) or broadcast(v))
-    assert count_kcliques(spark, edges, 4, "ebbkc-t") == brute_force_count(graph, 4)
-    (payload,) = sent
-    assert "adj" not in payload and "order" not in payload
-    assert payload["prep"].keys() == {"kind", "nbr_rank"}
-    assert payload["prep"]["nbr_rank"].keys() == graph.adj.keys()
+    td = truss_decomposition(collect_local(edges))
+    for k in (3, 4, 5):
+        exp = brute_force_kcliques(graph, k)
+        assert count_kcliques(spark, edges, k, "ebbkc-t") == len(exp)
+        payload = sent.pop()
+        assert "adj" not in payload and "order" not in payload
+        assert payload["prep"].keys() == {"kind", "nbr_rank"}
+        assert payload["units"] == [e for e, s in zip(td.order, td.sizes) if s >= k - 2]
+        p0 = next(i for i, s in enumerate(td.sizes) if s >= k - 2)
+        nr = payload["prep"]["nbr_rank"]
+        assert all(r >= p0 for nb in nr.values() for r in nb.values())
+        for c in exp:
+            for u, w in combinations(c, 2):
+                assert nr[u][w] == td.nbr_rank[u][w]
+    assert p0 > 0  # at k = 5 the k-truss is a proper part of the graph
 
 
 # (algo, scheme): EP for every algorithm here, NP for the VBBkC ones.
@@ -200,17 +216,19 @@ FANOUTS = [(a, "ep") for a in ("ebbkc-t", "ebbkc-c", "ebbkc-h", "ddegcol", "bitc
 @pytest.mark.parametrize("algo,scheme", FANOUTS, ids=[f"{a}-{s}" for a, s in FANOUTS])
 @given(
     g=graphs(),
-    k=st.integers(min_value=3, max_value=6),
+    k=st.integers(min_value=0, max_value=6),
     n_tasks=st.sampled_from([1, 3, 9]),
+    et_t=st.integers(min_value=0, max_value=5),
 )
 @settings(max_examples=3, deadline=None)
-def test_fanout_matches_brute_force(spark, algo, scheme, g, k, n_tasks):
+def test_fanout_matches_brute_force(spark, algo, scheme, g, k, n_tasks, et_t):
     """Every stripe of the unit list is run exactly once: count and list
     agree with brute force at 1 task, 3 tasks and more tasks than cores
-    (and, on small graphs, than units)."""
+    (and, on small graphs, than units), with early termination on or
+    off and for k ≤ 2 too."""
     exp = brute_force_kcliques(g, k)
     df = to_spark(spark, g)
-    kw = {"scheme": scheme, "n_tasks": n_tasks, "et_t": 2}
+    kw = {"scheme": scheme, "n_tasks": n_tasks, "et_t": et_t}
     assert count_kcliques(spark, df, k, algo, **kw) == len(exp)
     rows = list_kcliques(spark, df, k, algo, **kw).collect()
     assert sorted(tuple(r["clique"]) for r in rows) == sorted(exp)
@@ -220,7 +238,8 @@ def test_fanout_matches_brute_force(spark, algo, scheme, g, k, n_tasks):
 def test_empty_stripes(spark, algo):
     """More tasks than units: the empty stripes add 0 to the count and no
     rows to the typed listing."""
-    k4 = to_spark(spark, G.complete_graph(4))  # 6 edge units, 9 tasks
+    # 9 tasks; K4 at k = 3 has 3 EBBkC-H units (|g_i| ≥ 1) and 6 DDegCol ones.
+    k4 = to_spark(spark, G.complete_graph(4))
     assert count_kcliques(spark, k4, 3, algo, n_tasks=9) == 4
     assert len(list_kcliques(spark, k4, 3, algo, n_tasks=9).collect()) == 4
     c6 = to_spark(spark, G.cycle_graph(6))
@@ -228,6 +247,25 @@ def test_empty_stripes(spark, algo):
     df = list_kcliques(spark, c6, 3, algo, n_tasks=9)
     assert df.schema.simpleString() == "struct<clique:array<bigint>>"
     assert df.collect() == []
+
+
+@pytest.mark.parametrize("algo", ["ebbkc-t", "ebbkc-h"])
+def test_truss_units_at_k_max(spark, algo):
+    """At k = k_max (= τ + 2) the planted clique's units find it; at
+    k_max + 1 no initial branch can hold a k-clique, so no unit survives:
+    the count is 0 and the listing a typed empty frame."""
+    g = G.planted_cliques(24, 0.1, [6], seed=3)
+    k_max = truss_decomposition(g).k_max
+    assert len(brute_force_kcliques(g, k_max)) == 1
+    assert _units(algo, "ep", prepare(g, algo), k_max + 1) == []
+    df = to_spark(spark, g)
+    for k in (k_max, k_max + 1):
+        exp = brute_force_kcliques(g, k)
+        for n_tasks in (1, 3):
+            assert count_kcliques(spark, df, k, algo, n_tasks=n_tasks) == len(exp)
+            rows = list_kcliques(spark, df, k, algo, n_tasks=n_tasks)
+            assert rows.schema.simpleString() == "struct<clique:array<bigint>>"
+            assert sorted(tuple(r["clique"]) for r in rows.collect()) == exp
 
 
 def _group_job_count(sc, group: str, timeout_s: float = 10.0) -> int:
@@ -292,7 +330,7 @@ def test_count_mode_matches_listing(algo, scheme, g, k, et_t):
     both match brute force."""
     exp = brute_force_kcliques(g, k)
     prep = prepare(g, algo)
-    units = _units(algo, scheme, prep)
+    units = _units(algo, scheme, prep, k)
     opts = {"et_t": et_t, "rule1": True, "rule2": algo in ("ebbkc-c", "ebbkc-h")}
     listed: list[tuple[int, ...]] = []
     _run_units(g, prep, algo, k, units, listed.append, **opts)

@@ -1,10 +1,14 @@
 """Truss decomposition, τ and the truss-based edge ordering (Section 4.2)."""
 import pytest
+from hypothesis import given, settings
 
+from repro.core.ebbkc import _initial_branch
 from repro.graph import generators as G
 from repro.graph.core import degeneracy
 from repro.graph.loader import to_spark
 from repro.graph.truss import tau, truss_decomposition, truss_decomposition_from_spark
+
+from .test_properties import graphs
 
 
 def test_complete_graph_truss():
@@ -67,6 +71,19 @@ def test_nbr_rank_is_the_order(g):
     for u, nb in td.nbr_rank.items():
         for w, r in nb.items():
             assert r == td.nbr_rank[w][u] == pos[(min(u, w), max(u, w))]
+
+
+@given(graphs(max_n=20))
+@settings(max_examples=60, deadline=None)
+def test_sizes_are_the_initial_branch_sizes(g):
+    """``sizes[i]``, the support the peel removes ``order[i]`` at, is the
+    size of that edge's initial branch g_i, and its running max + 2 is
+    the truss number."""
+    td = truss_decomposition(g)
+    tn = td.truss_number
+    for i, (u, v) in enumerate(td.order):
+        assert td.sizes[i] == len(_initial_branch(td.nbr_rank, u, v)[1])
+        assert tn[(u, v)] == max(td.sizes[: i + 1]) + 2
 
 
 def test_greedy_min_support_property():
