@@ -1,0 +1,155 @@
+"""pytest-benchmark cells for the paper's tables and experiments.
+
+Each cell runs once (``pedantic(rounds=1)``): the kernels are
+deterministic and the matrices are large, so repeated rounds would
+multiply wall-clock for no variance benefit. A cell's id names its
+experiment, dataset, k, algorithm label and (Spark cells) task count,
+so ``bench_output.txt`` reads like the paper's tables;
+``python -m repro.experiments`` prints the full sweeps.
+"""
+import pytest
+
+from repro.core.engine import count_kcliques, run_local
+from repro.experiments import graph_info, policy_t
+from repro.graph.core import core_decomposition
+from repro.graph.datasets import DEFAULT_DATASETS, SCALABILITY
+from repro.graph.loader import to_spark
+from repro.graph.stats import compute_stats
+from repro.graph.truss import truss_decomposition
+
+# (label, algorithm, run_local options); "et_t": "policy" is the paper's
+# threshold for the cell's dataset and k.
+ET = {"et_t": "policy"}
+MAIN = [
+    ("EBBkC+ET", "ebbkc-h", ET),
+    ("DDegCol", "ddegcol", {}),
+    ("DDegree", "ddegree", {}),
+    ("SDegree", "sdegree", {}),
+    ("BitCol", "bitcol", {}),
+]
+
+# experiment → ({dataset: k values}, line-up); the sequential cells.
+LOCAL = {
+    # Exp 1 (Fig. 4): small-ω comparison, EBBkC+ET vs the four VBBkC baselines.
+    "exp1": ({"wk": (4, 8, 12), "po": (4, 8, 13), "cn": (6, 15), "ba": (4, 6)}, MAIN),
+    # Exp 2 (Fig. 5): large-ω comparison, small k plus k near ω
+    # (ω: st=30, or=32, db=34 on the substitutes).
+    "exp2": ({"st": (4, 26, 30), "or": (4, 28, 32), "db": (4, 30, 34)}, MAIN),
+    # Exp 3 (Fig. 6/14): ablation, the VBBkC SOTA with Rule 2 and no SIMD.
+    "exp3": ({"wk": (8, 12), "st": (26, 30)}, [
+        ("EBBkC+ET", "ebbkc-h", ET),
+        ("EBBkC", "ebbkc-h", {}),
+        ("DDegCol+", "ddegcol", {"rule2": True}),
+        ("BitCol+", "bitcol", {"rule2": True}),
+    ]),
+    # Exp 4 (Fig. 7): the three edge orderings, all pruned, all +ET.
+    "exp4": ({"wk": (8, 12), "or": (28,)}, [
+        ("EBBkC-T+ET", "ebbkc-t", ET),
+        ("EBBkC-C+ET", "ebbkc-c", ET),
+        ("EBBkC-H+ET", "ebbkc-h", ET),
+    ]),
+    # Exp 5 (Fig. 8/15): pruning Rule (2) on vs off.
+    "exp5": ({"wk": (8, 12), "or": (28,)}, [
+        ("rule2-on", "ebbkc-h", {**ET, "rule2": True}),
+        ("rule2-off", "ebbkc-h", {**ET, "rule2": False}),
+    ]),
+    # Exp 6 (Fig. 9): early-termination threshold t ∈ {1..5}.
+    "exp6": ({"wk": (8, 12), "cn": (15,)}, [
+        (f"t={t}", "ebbkc-h", {"et_t": t}) for t in range(1, 6)
+    ]),
+}
+
+LOCAL_CELLS = [
+    pytest.param(name, k, algo, opts, id=f"{exp}-{name}-{k}-{label}")
+    for exp, (cases, lineup) in LOCAL.items()
+    for name, ks in cases.items()
+    for k in ks
+    for label, algo, opts in lineup
+]
+
+
+def _spark_cells():
+    """Exp 7 (Fig. 10): EBBkC+ET (edge units) vs VBBkC+ET with EP and NP
+    units on cn at k = 12, over 1, 4 and 16 tasks. Exp 9 (Fig. 12): the
+    three largest substitutes, EP units, 16 tasks, EBBkC+ET vs BitCol at
+    k = 4 and k = ω − 4."""
+    cells = [
+        pytest.param("cn", 12, algo, {**ET, "scheme": scheme}, n,
+                     id=f"exp7-cn-12-{label}-{n}")
+        for label, algo, scheme in [
+            ("EBBkC+ET", "ebbkc-h", "ep"),
+            ("VBBkC+ET-EP", "ddegcol", "ep"),
+            ("VBBkC+ET-NP", "ddegcol", "np"),
+        ]
+        for n in (1, 4, 16)
+    ]
+    for name in SCALABILITY:
+        for k in (4, graph_info(name)["omega"] - 4):
+            for label, algo, opts in [("EBBkC+ET", "ebbkc-h", ET), ("BitCol", "bitcol", {})]:
+                cells.append(pytest.param(name, k, algo, {**opts, "scheme": "ep"}, 16,
+                                          id=f"exp9-{name}-{k}-{label}-16"))
+    return cells
+
+
+def _opts(name: str, k: int, opts: dict) -> dict:
+    return {**opts, "et_t": policy_t(name, k)} if opts.get("et_t") == "policy" else opts
+
+
+@pytest.mark.parametrize("name,k,algo,opts", LOCAL_CELLS)
+def test_local(benchmark, name, k, algo, opts):
+    g = graph_info(name)["g"]
+    opts = _opts(name, k, opts)
+    count = benchmark.pedantic(lambda: run_local(g, k, algo, **opts), rounds=1, iterations=1)
+    assert count >= 0
+
+
+@pytest.fixture(scope="module")
+def cached_edges(spark):
+    """Edge table of a dataset, cached on first use for the module."""
+    dfs = {}
+
+    def get(name):
+        if name not in dfs:
+            dfs[name] = to_spark(spark, graph_info(name)["g"]).cache()
+            dfs[name].count()
+        return dfs[name]
+
+    yield get
+    for df in dfs.values():
+        df.unpersist()
+
+
+@pytest.mark.parametrize("name,k,algo,opts,n_tasks", _spark_cells())
+def test_spark(benchmark, spark, cached_edges, name, k, algo, opts, n_tasks):
+    """Spark cells time listing, as the paper's times include output."""
+    edges, opts = cached_edges(name), _opts(name, k, opts)
+    count = benchmark.pedantic(
+        lambda: count_kcliques(spark, edges, k, algo, n_tasks=n_tasks, closed_form=False, **opts),
+        rounds=1,
+        iterations=1,
+    )
+    assert count >= 1
+
+
+@pytest.mark.parametrize("name", DEFAULT_DATASETS)
+def test_table1_stats(benchmark, name):
+    """Table 1 on the default datasets."""
+    g = graph_info(name)["g"]
+    stats = benchmark.pedantic(lambda: compute_stats(g), rounds=1, iterations=1)
+    assert stats["tau"] < stats["delta"]  # Lemma 4.1 on the substitute
+
+
+@pytest.mark.parametrize("name", DEFAULT_DATASETS)
+def test_truss_ordering(benchmark, name):
+    """Table 2: the truss-based edge ordering."""
+    g = graph_info(name)["g"]
+    td = benchmark.pedantic(lambda: truss_decomposition(g), rounds=1, iterations=1)
+    assert len(td.order) == g.m
+
+
+@pytest.mark.parametrize("name", DEFAULT_DATASETS)
+def test_degeneracy_ordering(benchmark, name):
+    """Table 2: the degeneracy vertex ordering."""
+    g = graph_info(name)["g"]
+    dec = benchmark.pedantic(lambda: core_decomposition(g), rounds=1, iterations=1)
+    assert len(dec.order) == g.n

@@ -1,41 +1,41 @@
 """EBBkC — the paper's edge-oriented branching BB framework (Section 4).
 
-Three instantiations over the edge ordering:
+The kernels of the three instantiations over the edge ordering; the
+engine (`repro.core.engine`) prepares the orderings, picks the initial
+branches and runs them:
 
-* :func:`ebbkc_t` — truss-based edge ordering (Algorithm 3). A branch
-  is represented implicitly as ``(S, verts, min_rank, l)``: its edge
-  set is every adjacency pair inside ``verts`` whose truss rank exceeds
-  ``min_rank`` (the lazy equivalent of the VSet/ESet intersections in
-  Algorithm 3). Ranks are read from the per-vertex map
-  ``nbr_rank[u][w]`` (position of edge {u, w} in π_τ, see
-  `repro.graph.truss`), whose keys double as the adjacency.
-* :func:`ebbkc_c` — color-based edge ordering over the color DAG
-  (Algorithm 4) with pruning Rules (1) and (2).
-* :func:`ebbkc_h` — hybrid (Algorithm 5): truss ordering at the initial
-  branch, per-branch re-coloring + color DAG below.
+* EBBkC-T — truss-based edge ordering (Algorithm 3),
+  :func:`ebbkc_t_top_branch` + :func:`_rec_t`. A branch is represented
+  implicitly as ``(S, verts, min_rank, l)``: its edge set is every
+  adjacency pair inside ``verts`` whose truss rank exceeds ``min_rank``
+  (the lazy equivalent of the VSet/ESet intersections in Algorithm 3).
+  Ranks are read from the per-vertex map ``nbr_rank[u][w]`` (position of
+  edge {u, w} in π_τ, see `repro.graph.truss`), whose keys double as the
+  adjacency.
+* EBBkC-C — color-based edge ordering over the color DAG (Algorithm 4)
+  with pruning Rules (1) and (2), :func:`ebbkc_c_top_branch` +
+  :func:`_rec_c`.
+* EBBkC-H — hybrid (Algorithm 5), :func:`ebbkc_h_top_branch`: truss
+  ordering at the initial branch, per-branch re-coloring + color DAG
+  below.
 
-Every function takes an ``out`` sink receiving each k-clique as a
-tuple of distinct vertices (listing semantics — output cost is part of
-the measured work, as in the paper; the engine's collecting sinks sort
-each tuple), plus an ``et_t`` early-termination threshold (0 disables
-ET; see `etplex`, where an `etplex.CliqueCount` sink makes ET count
-the branches it consumes instead of listing them). ``*_top_branch`` entry points process a single
-initial-branch sub-problem so the distributed engine can fan them out
-(the paper's EP parallel scheme); :func:`initial_branches` picks the
-truss-ordered ones that can hold a k-clique, for the whole-graph runs
-and the engine alike.
+Every kernel takes an ``out`` sink receiving each k-clique as a tuple of
+distinct vertices (listing semantics — output cost is part of the
+measured work, as in the paper; the engine's collecting sinks sort each
+tuple), plus an ``et_t`` early-termination threshold (0 disables ET; see
+`etplex`, where an `etplex.CliqueCount` sink makes ET count the branches
+it consumes instead of listing them). A ``*_top_branch`` entry point
+processes one initial-branch sub-problem (the unit of the paper's EP
+parallel scheme); :func:`initial_branches` picks the truss-ordered ones
+that can hold a k-clique.
 """
 from __future__ import annotations
 
-from typing import Callable
+from repro.graph.coloring import subgraph_color_ordering
+from repro.graph.truss import Edge
 
-from repro.graph.coloring import ColorOrdering, color_ordering, subgraph_color_ordering
-from repro.graph.loader import LocalGraph, list_small_k
-from repro.graph.truss import Edge, TrussDecomposition, truss_decomposition
+from .etplex import Out, try_early_terminate
 
-from .etplex import try_early_terminate
-
-Out = Callable[[tuple[int, ...]], None]
 NbrRank = dict[int, dict[int, int]]
 
 
@@ -112,11 +112,6 @@ def _rec_t(
                 _rec_t(s + (u, v), v2, r, child_l, nr, et_t, out)
 
 
-def ebbkc_t_prepare(g: LocalGraph) -> TrussDecomposition:
-    """Preprocessing for EBBkC-T/H: the truss decomposition of G."""
-    return truss_decomposition(g)
-
-
 def ebbkc_t_top_branch(
     nr: NbrRank,
     u: int,
@@ -130,22 +125,6 @@ def ebbkc_t_top_branch(
     _rec_t((u, v), verts, r, k - 2, nr, et_t, out)
 
 
-def ebbkc_t(
-    g: LocalGraph,
-    k: int,
-    out: Out,
-    *,
-    truss: TrussDecomposition | None = None,
-    et_t: int = 0,
-) -> None:
-    """EBBkC with the truss-based edge ordering — O(δm + km(τ/2)^(k-2))."""
-    if list_small_k(g, k, out):
-        return
-    td = truss if truss is not None else ebbkc_t_prepare(g)
-    for u, v in initial_branches(td.order, td.sizes, k):
-        ebbkc_t_top_branch(td.nbr_rank, u, v, k, out, et_t)
-
-
 # --------------------------------------------------------------------------
 # EBBkC-C (Algorithm 4)
 # --------------------------------------------------------------------------
@@ -155,39 +134,12 @@ def _distinct_colors(cand: set[int], col: dict[int, int]) -> int:
     return len({col[w] for w in cand})
 
 
-def _expand_edge_c(
-    s: tuple[int, ...],
-    cand: set[int],
-    l: int,
-    u: int,
-    v: int,
-    co_out: dict[int, set[int]],
-    col: dict[int, int],
-    vid: dict[int, int],
-    und: dict[int, set[int]],
-    et_t: int,
-    rule1: bool,
-    rule2: bool,
-    out: Out,
-) -> None:
-    """Branch on edge u→v (vid(u) < vid(v), hence col(u) ≥ col(v)) of the
-    color DAG inside candidate set ``cand``: apply Rules (1)/(2), build
-    the common-out-neighbor sub-branch, recurse with l − 2."""
-    if rule1 and (col[u] < l or col[v] < l - 1):
-        return
-    cand2 = co_out[u] & co_out[v] & cand
-    if rule2 and _distinct_colors(cand2, col) < l - 2:
-        return
-    _rec_c(s + (u, v), cand2, l - 2, co_out, col, vid, und, et_t, rule1, rule2, out)
-
-
 def _rec_c(
     s: tuple[int, ...],
     cand: set[int],
     l: int,
     co_out: dict[int, set[int]],
     col: dict[int, int],
-    vid: dict[int, int],
     und: dict[int, set[int]],
     et_t: int,
     rule1: bool,
@@ -219,33 +171,30 @@ def _rec_c(
             cand2 = co_out[v] & ou
             if rule2 and _distinct_colors(cand2, col) < l - 2:
                 continue
-            _rec_c(s + (u, v), cand2, l - 2, co_out, col, vid, und, et_t, rule1, rule2, out)
+            _rec_c(s + (u, v), cand2, l - 2, co_out, col, und, et_t, rule1, rule2, out)
 
 
-def ebbkc_c_prepare(g: LocalGraph) -> ColorOrdering:
-    """Preprocessing for EBBkC-C: global coloring, ordering and DAG."""
-    return color_ordering(g)
-
-
-def ebbkc_c(
-    g: LocalGraph,
+def ebbkc_c_top_branch(
+    co_out: dict[int, set[int]],
+    col: dict[int, int],
+    und: dict[int, set[int]],
+    u: int,
+    v: int,
     k: int,
     out: Out,
-    *,
-    co: ColorOrdering | None = None,
     et_t: int = 0,
     rule1: bool = True,
     rule2: bool = True,
 ) -> None:
-    """EBBkC with the color-based edge ordering — O(km(Δ/2)^(k-2)), with
-    Rules (1)/(2) pruning. ``rule2=False`` gives the paper's
-    "EBBkC (stc)" ablation variant."""
-    if list_small_k(g, k, out):
+    """The initial-branch sub-problem of EBBkC-C for the color-DAG edge
+    u→v (vid(u) < vid(v), hence col(u) ≥ col(v)): apply Rules (1)/(2)
+    at l = k, branch on the common out-neighbors, recurse with k − 2."""
+    if rule1 and (col[u] < k or col[v] < k - 1):
         return
-    c = co if co is not None else ebbkc_c_prepare(g)
-    _rec_c(
-        (), set(g.adj), k, c.out, c.col, c.vid, g.adj, et_t, rule1, rule2, out
-    )
+    cand = co_out[u] & co_out[v]
+    if rule2 and _distinct_colors(cand, col) < k - 2:
+        return
+    _rec_c((u, v), cand, k - 2, co_out, col, und, et_t, rule1, rule2, out)
 
 
 # --------------------------------------------------------------------------
@@ -277,26 +226,5 @@ def ebbkc_h_top_branch(
     if try_early_terminate((u, v), verts, adj2, l, et_t, out):
         return
     co = subgraph_color_ordering(verts, adj2)
-    _rec_c((u, v), verts, l, co.out, co.col, co.vid, adj2, et_t, rule1, rule2, out)
+    _rec_c((u, v), verts, l, co.out, co.col, adj2, et_t, rule1, rule2, out)
 
-
-def ebbkc_h(
-    g: LocalGraph,
-    k: int,
-    out: Out,
-    *,
-    truss: TrussDecomposition | None = None,
-    et_t: int = 0,
-    rule1: bool = True,
-    rule2: bool = True,
-) -> None:
-    """EBBkC with the hybrid edge ordering — the paper's default EBBkC.
-
-    Truss ordering bounds every initial sub-branch by τ (so the
-    complexity matches EBBkC-T); color pruning applies below.
-    """
-    if list_small_k(g, k, out):
-        return
-    td = truss if truss is not None else ebbkc_t_prepare(g)
-    for u, v in initial_branches(td.order, td.sizes, k):
-        ebbkc_h_top_branch(td.nbr_rank, u, v, k, out, et_t, rule1, rule2)

@@ -29,32 +29,34 @@ steps fused) or per *vertex* (NP). The engine:
 
 ``run_local`` is the sequential entry point used by the single-thread
 experiments (the paper's experiments 1–6 are sequential too); like
-``list_kcliques`` it always lists. Every
-entry point lists k ≤ 2 through `loader.list_small_k`, and every listed
-clique is a tuple (Spark: an array) sorted ascending.
+``list_kcliques`` it always lists. It runs the same sequence as a Spark
+task, `_run_units` over every unit instead of one stripe, with EP units
+for EBBkC and NP units for VBBkC (for Degen these are exactly kClist's
+whole-graph recursion). This module is the only place that dispatches
+on the algorithm. Every entry point lists k ≤ 2 through
+`loader.list_small_k`, and every listed clique is a tuple (Spark: an
+array) sorted ascending.
 """
 from __future__ import annotations
 
 import pickle
-from types import SimpleNamespace
-from typing import Callable, Iterable
+from typing import Iterable
 
 import pandas as pd
 from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.graph.coloring import color_ordering
 from repro.graph.core import degeneracy_dag
 from repro.graph.loader import LocalGraph, collect_local, list_small_k
 from repro.graph.truss import truss_decomposition, truss_decomposition_from_spark
 
 from . import ebbkc as _e
 from . import vbbkc as _v
-from .etplex import CliqueCount
-
-Out = Callable[[tuple[int, ...]], None]
+from .etplex import CliqueCount, Out
 
 EBBKC_ALGOS = ("ebbkc-t", "ebbkc-c", "ebbkc-h")
-VBBKC_ALGOS = _v._VARIANTS
+VBBKC_ALGOS = _v.VARIANTS
 ALGORITHMS = EBBKC_ALGOS + VBBKC_ALGOS
 
 
@@ -71,7 +73,7 @@ def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
         )
         return {"kind": "truss", "nbr_rank": td.nbr_rank, "order": td.order, "sizes": td.sizes}
     if algo == "ebbkc-c":
-        co = _e.ebbkc_c_prepare(g)
+        co = color_ordering(g)
         return {"kind": "color", "out": co.out, "col": co.col, "vid": co.vid}
     if algo in VBBKC_ALGOS:
         order, dag_out = degeneracy_dag(g)
@@ -100,7 +102,7 @@ def _units(algo: str, scheme: str, prep, k: int) -> list[tuple[int, int]]:
 
 
 def _run_units(
-    gshim,
+    adj: dict[int, set[int]] | None,
     prep,
     algo: str,
     k: int,
@@ -111,7 +113,9 @@ def _run_units(
     rule1: bool,
     rule2: bool,
 ) -> None:
-    """Run the kernel for each top-branch unit against sink ``out``."""
+    """Run the kernel for each top-branch unit against sink ``out``.
+    ``adj`` is the graph's adjacency (None for EBBkC-T/H, whose rank map
+    holds it)."""
     if algo == "ebbkc-t":
         nr = prep["nbr_rank"]
         for u, v in units:
@@ -121,24 +125,20 @@ def _run_units(
         for u, v in units:
             _e.ebbkc_h_top_branch(nr, u, v, k, out, et_t, rule1, rule2)
     elif algo == "ebbkc-c":
-        co_out, col, vid = prep["out"], prep["col"], prep["vid"]
-        allv = set(co_out)
+        co_out, col = prep["out"], prep["col"]
         for u, v in units:
-            _e._expand_edge_c(
-                (), allv, k, u, v, co_out, col, vid, gshim.adj,
-                et_t, rule1, rule2, out,
-            )
+            _e.ebbkc_c_top_branch(co_out, col, adj, u, v, k, out, et_t, rule1, rule2)
     else:
         dag_out = prep["dag_out"]
         for u, v in units:
             if v < 0:
                 _v.vbbkc_top_branch_vertex(
-                    gshim, dag_out, u, k, out,
+                    adj, dag_out, u, k, out,
                     variant=algo, rule2=rule2, et_t=et_t,
                 )
             else:
                 _v.vbbkc_top_branch_edge(
-                    gshim, dag_out, u, v, k, out,
+                    adj, dag_out, u, v, k, out,
                     variant=algo, rule2=rule2, et_t=et_t,
                 )
 
@@ -161,6 +161,27 @@ def _check_args(
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
 
 
+def _with_sink(run, collect: bool, closed_form: bool = False):
+    """Call ``run(out)`` with the engine's sink: the cliques, each a
+    tuple sorted ascending, when ``collect``; else their count. A counting
+    sink is a `CliqueCount` when ``closed_form``, else its bound
+    ``__call__``: that is not a `CliqueCount`, so early termination lists
+    every clique into it."""
+    if collect:
+        cliques: list[tuple[int, ...]] = []
+        run(lambda c: cliques.append(tuple(sorted(c))))
+        return cliques
+    sink = CliqueCount()
+    run(sink if closed_form else sink.__call__)
+    return sink.n
+
+
+def _rule2(algo: str, rule2: bool | None) -> bool:
+    """Rule (2) defaults to on for color-pruned EBBkC and off for VBBkC
+    (where on gives the paper's "+" ablation variants)."""
+    return rule2 if rule2 is not None else algo in ("ebbkc-c", "ebbkc-h")
+
+
 def run_local(
     g: LocalGraph,
     k: int,
@@ -170,36 +191,24 @@ def run_local(
     rule1: bool = True,
     rule2: bool | None = None,
     collect: bool = False,
-    prep=None,
 ):
-    """Sequential end-to-end run on the driver.
+    """Sequential end-to-end run on the driver: every unit (EP for EBBkC,
+    NP for VBBkC) in one sequence.
 
     Returns the clique count, or, when ``collect``, the list of cliques,
-    each a tuple sorted ascending. ``rule2`` defaults to True for
-    color-pruned EBBkC and False for VBBkC (where True gives the paper's
-    "+" ablation variants).
+    each a tuple sorted ascending. ``rule2`` defaults as in `_rule2`.
     """
     _check_args(k, algo, et_t)
-    r2 = rule2 if rule2 is not None else algo in ("ebbkc-c", "ebbkc-h")
-    sink: list[tuple[int, ...]] = []
-    n = 0
 
-    def count_out(c):
-        nonlocal n
-        n += 1
-
-    out = (lambda c: sink.append(tuple(sorted(c)))) if collect else count_out
-    if list_small_k(g, k, out):
-        return sink if collect else n
-    if algo == "degen":
-        # Degen uses one global ordering — run it whole, not per-unit.
-        _v.vbbkc(g, k, out, variant="degen", rule2=False, et_t=et_t)
-        return sink if collect else n
-    if prep is None:
+    def run(out: Out) -> None:
+        if list_small_k(g, k, out):
+            return
         prep = prepare(g, algo)
-    units = _units(algo, "ep" if algo.startswith("ebbkc") else "np", prep, k)
-    _run_units(g, prep, algo, k, units, out, et_t=et_t, rule1=rule1, rule2=r2)
-    return sink if collect else n
+        units = _units(algo, "ep" if algo in EBBKC_ALGOS else "np", prep, k)
+        _run_units(g.adj, prep, algo, k, units, out,
+                   et_t=et_t, rule1=rule1, rule2=_rule2(algo, rule2))
+
+    return _with_sink(run, collect)
 
 
 def _structures(g: LocalGraph, prep, units=None) -> dict:
@@ -227,29 +236,25 @@ def _structures(g: LocalGraph, prep, units=None) -> dict:
 def _task_iterator_factory(bc, collect: bool):
     """Build the mapInPandas worker: for each task id ``i`` it reads, it
     runs the kernels over the stripe ``units[i::n_tasks]`` of the
-    broadcast unit list against the broadcast graph + orderings. A count
-    task hands the kernels a `CliqueCount`, or, when the broadcast says
-    ``closed_form`` is off, its bound ``__call__``: that is not a
-    `CliqueCount`, so early termination lists every clique into it."""
+    broadcast unit list against the broadcast graph + orderings, into
+    the `_with_sink` sink (closed-form counting when the broadcast says
+    ``closed_form``)."""
 
     def fn(batches):
         p = bc.value
-        gshim = SimpleNamespace(adj=p.get("adj"))
-        prep, algo, k, units, n_tasks = p["prep"], p["algo"], p["k"], p["units"], p["n_tasks"]
+        adj, prep, algo, k, units, n_tasks = (
+            p.get("adj"), p["prep"], p["algo"], p["k"], p["units"], p["n_tasks"])
         opts = {"et_t": p["et_t"], "rule1": p["rule1"], "rule2": p["rule2"]}
         for pdf in batches:
             for i in pdf["id"].tolist():
-                stripe = units[i::n_tasks]
+                res = _with_sink(
+                    lambda out: _run_units(adj, prep, algo, k, units[i::n_tasks], out, **opts),
+                    collect, p["closed_form"],
+                )
                 if collect:
-                    cliques: list[list[int]] = []
-                    _run_units(gshim, prep, algo, k, stripe,
-                               lambda c: cliques.append(sorted(c)), **opts)
-                    yield pd.DataFrame({"clique": pd.Series(cliques, dtype="object")})
+                    yield pd.DataFrame({"clique": pd.Series(res, dtype="object")})
                 else:
-                    sink = CliqueCount()
-                    out = sink if p["closed_form"] else sink.__call__
-                    _run_units(gshim, prep, algo, k, stripe, out, **opts)
-                    yield pd.DataFrame({"n": [sink.n]})
+                    yield pd.DataFrame({"n": [res]})
 
     return fn
 
@@ -279,7 +284,6 @@ def _distribute(
         res = run_local(g, k, algo, collect=collect)
         rows = [(list(c),) for c in res] if collect else [(res,)]
         return spark.createDataFrame(rows, schema=schema), None
-    r2 = rule2 if rule2 is not None else algo in ("ebbkc-c", "ebbkc-h")
     prep = prepare(g, algo, edges_df=edges if distributed_preprocess else None)
     units = _units(algo, scheme, prep, k)
     sc = spark.sparkContext
@@ -293,7 +297,7 @@ def _distribute(
             "k": k,
             "et_t": et_t,
             "rule1": rule1,
-            "rule2": r2,
+            "rule2": _rule2(algo, rule2),
             "closed_form": closed_form,
         }
     )

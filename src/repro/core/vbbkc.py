@@ -2,7 +2,8 @@
 
 Implemented variants (all `O(km(δ/2)^(k-2))` except Degen's ancestors):
 
-* ``degen``  — kClist [Danisch et al.]: one global degeneracy ordering.
+* ``degen``  — kClist [Danisch et al.]: one global degeneracy ordering;
+  a branch recurses over the degeneracy DAG restricted to its candidates.
 * ``ddegree`` — DDegCol's sibling [Li et al.]: degeneracy ordering at the
   initial branch, local degree ordering below.
 * ``ddegcol`` — degeneracy at the initial branch, per-branch coloring +
@@ -17,23 +18,20 @@ sub-branch whose candidates span < l − 1 distinct colors), yielding the
 ablation baselines DDegCol+ / BitCol+. ``et_t`` enables the same early
 termination as EBBkC (the paper's VBBkC+ET in Experiment 7).
 
-Entry points ``vbbkc_top_branch_vertex`` (NP scheme) and
+The entry points ``vbbkc_top_branch_vertex`` (NP scheme) and
 ``vbbkc_top_branch_edge`` (EP scheme) process one initial-branch
-sub-problem for the distributed engine.
+sub-problem over the adjacency ``adj`` and the degeneracy DAG
+``dag_out``; the engine (`repro.core.engine`) prepares both and runs
+the units. For Degen, the NP units together are exactly kClist's
+whole-graph recursion.
 """
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.graph.coloring import subgraph_color_ordering
-from repro.graph.core import CoreDecomposition, core_decomposition, degeneracy_dag
-from repro.graph.loader import LocalGraph, list_small_k
 
-from .etplex import try_early_terminate
+from .etplex import Out, try_early_terminate
 
-Out = Callable[[tuple[int, ...]], None]
-
-_VARIANTS = ("degen", "ddegree", "ddegcol", "sdegree", "bitcol")
+VARIANTS = ("degen", "ddegree", "ddegcol", "sdegree", "bitcol")
 
 
 # --------------------------------------------------------------------------
@@ -46,7 +44,6 @@ def _rec_v(
     cand: set[int],
     l: int,
     dag: dict[int, set[int]],
-    vid: dict[int, int],
     col: dict[int, int] | None,
     und: dict[int, set[int]],
     et_t: int,
@@ -76,20 +73,7 @@ def _rec_v(
         cand2 = dag[v] & cand
         if rule2 and col is not None and len({col[w] for w in cand2}) < l - 1:
             continue
-        _rec_v(s + (v,), cand2, l - 1, dag, vid, col, und, et_t, rule2, out)
-
-
-def _degree_ordering_ctx(
-    verts: set[int], und: dict[int, set[int]]
-) -> tuple[dict[int, set[int]], dict[int, int]]:
-    """Local degree ordering (descending degree, ties by id) → (dag, vid)."""
-    local = {v: und[v] & verts for v in verts}
-    order = sorted(verts, key=lambda v: (-len(local[v]), v))
-    vid = {v: i for i, v in enumerate(order)}
-    dag = {
-        v: {w for w in local[v] if vid[w] > vid[v]} for v in verts
-    }
-    return dag, vid
+        _rec_v(s + (v,), cand2, l - 1, dag, col, und, et_t, rule2, out)
 
 
 # --------------------------------------------------------------------------
@@ -181,23 +165,45 @@ def _run_branch_bits(
 
 
 # --------------------------------------------------------------------------
-# Top-branch entry points and full algorithms
+# Top-branch entry points
 # --------------------------------------------------------------------------
 
 
-def _branch_ctx(variant: str, verts: set[int], und: dict[int, set[int]]):
-    """Local ordering context for one initial sub-branch: returns
-    (ordered_verts, local_adj, col-or-None)."""
-    local = {v: und[v] & verts for v in verts}
+def _branch(
+    variant: str,
+    adj: dict[int, set[int]],
+    dag_out: dict[int, list[int]],
+    s: tuple[int, ...],
+    verts: set[int],
+    l: int,
+    out: Out,
+    rule2: bool,
+    et_t: int,
+) -> None:
+    """The initial sub-branch (S = ``s``, candidates ``verts``, l more
+    vertices) in the variant's ordering: Degen keeps the global DAG, the
+    others order the branch locally by degree or by color."""
+    if variant == "degen":
+        dag = {w: verts.intersection(dag_out[w]) for w in verts}
+        _rec_v(s, verts, l, dag, None, adj, et_t, rule2, out)
+        return
+    local = {w: adj[w] & verts for w in verts}
     if variant in ("ddegcol", "bitcol"):
         co = subgraph_color_ordering(verts, local)
-        return co.order, local, co.col
-    order = sorted(verts, key=lambda v: (-len(local[v]), v))
-    return order, local, None
+        order, col, dag = co.order, co.col, co.out
+    else:
+        order, col, dag = sorted(verts, key=lambda w: (-len(local[w]), w)), None, None
+    if variant in ("sdegree", "bitcol"):
+        _run_branch_bits(s, order, local, col, l, et_t, rule2, out)
+        return
+    if dag is None:  # DDegree: orient the branch along its degree ordering
+        vid = {w: i for i, w in enumerate(order)}
+        dag = {w: {x for x in local[w] if vid[x] > vid[w]} for w in verts}
+    _rec_v(s, verts, l, dag, col, local, et_t, rule2, out)
 
 
 def vbbkc_top_branch_vertex(
-    g: LocalGraph,
+    adj: dict[int, set[int]],
     dag_out: dict[int, list[int]],
     v: int,
     k: int,
@@ -209,18 +215,11 @@ def vbbkc_top_branch_vertex(
 ) -> None:
     """NP unit of work: the initial sub-branch that adds vertex v (its
     candidates are v's out-neighbors in the degeneracy DAG)."""
-    verts = set(dag_out[v])
-    order, local, col = _branch_ctx(variant, verts, g.adj)
-    if variant in ("sdegree", "bitcol"):
-        _run_branch_bits((v,), order, local, col, k - 1, et_t, rule2, out)
-    else:
-        vid = {w: i for i, w in enumerate(order)}
-        dag = {w: {x for x in local[w] if vid[x] > vid[w]} for w in verts}
-        _rec_v((v,), verts, k - 1, dag, vid, col, local, et_t, rule2, out)
+    _branch(variant, adj, dag_out, (v,), set(dag_out[v]), k - 1, out, rule2, et_t)
 
 
 def vbbkc_top_branch_edge(
-    g: LocalGraph,
+    adj: dict[int, set[int]],
     dag_out: dict[int, list[int]],
     u: int,
     v: int,
@@ -234,46 +233,4 @@ def vbbkc_top_branch_edge(
     """EP unit of work: the first two branching steps fused — S = {u, v}
     for a degeneracy-DAG edge u→v, candidates = common out-neighbors."""
     verts = set(dag_out[u]) & set(dag_out[v])
-    if k == 2:
-        out(tuple(sorted((u, v))))
-        return
-    order, local, col = _branch_ctx(variant, verts, g.adj)
-    if variant in ("sdegree", "bitcol"):
-        _run_branch_bits((u, v), order, local, col, k - 2, et_t, rule2, out)
-    else:
-        vid = {w: i for i, w in enumerate(order)}
-        dag = {w: {x for x in local[w] if vid[x] > vid[w]} for w in verts}
-        _rec_v((u, v), verts, k - 2, dag, vid, col, local, et_t, rule2, out)
-
-
-def vbbkc_prepare(g: LocalGraph) -> CoreDecomposition:
-    """Preprocessing shared by every VBBkC variant: the degeneracy peel."""
-    return core_decomposition(g)
-
-
-def vbbkc(
-    g: LocalGraph,
-    k: int,
-    out: Out,
-    *,
-    variant: str = "ddegcol",
-    rule2: bool = False,
-    et_t: int = 0,
-    core: CoreDecomposition | None = None,
-) -> None:
-    """Run a VBBkC baseline end to end (sequential, NP decomposition)."""
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown VBBkC variant {variant!r}")
-    if list_small_k(g, k, out):
-        return
-    dec = core if core is not None else vbbkc_prepare(g)
-    order, dag_out = degeneracy_dag(g, dec)
-    if variant == "degen":
-        vid = dec.rank
-        dag = {v: set(nb) for v, nb in dag_out.items()}
-        _rec_v((), set(g.adj), k, dag, vid, None, g.adj, et_t, rule2, out)
-        return
-    for v in order:
-        vbbkc_top_branch_vertex(
-            g, dag_out, v, k, out, variant=variant, rule2=rule2, et_t=et_t
-        )
+    _branch(variant, adj, dag_out, (u, v), verts, k - 2, out, rule2, et_t)

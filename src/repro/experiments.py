@@ -3,8 +3,10 @@
 Each ``expN_rows(...)`` returns a list of row dicts (dataset, k,
 algorithm label, wall-clock seconds, clique count) reproducing the
 comparison structure of the paper's experiment N; ``format_rows``
-renders them as the printed table. Jobs (`jobs/expN_*.py`) and
-benchmarks (`benchmarks/bench_expN_*.py`) are thin wrappers over these.
+renders them as the printed table, with the columns registered next to
+each function. ``python -m repro.experiments <name>... | all`` prints
+the named tables (``all`` regenerates every table of EXPERIMENTS.md);
+``benchmarks/bench_experiments.py`` times representative cells.
 
 Protocol notes carried over from the paper (Section 6.1):
 * reported times include preprocessing and ordering generation
@@ -16,17 +18,45 @@ Protocol notes carried over from the paper (Section 6.1):
 """
 from __future__ import annotations
 
+import os
+import sys
 import time
 from functools import lru_cache
+from typing import Callable
 
 from pyspark.sql import SparkSession
 
 from repro.core.engine import count_kcliques, run_local, structure_bytes
 from repro.core.etplex import default_t_threshold
+from repro.graph.core import core_decomposition
 from repro.graph.datasets import DATASETS, load
-from repro.graph.loader import LocalGraph, to_spark
+from repro.graph.loader import to_spark
 from repro.graph.maxclique import max_clique_size
+from repro.graph.stats import format_table1, table1_rows
 from repro.graph.truss import truss_decomposition
+
+# name → (title, rows function, rendering, needs Spark), filled by `_table`
+# in the order ``all`` prints: the Spark experiments 7 and 9 come last.
+TABLES: dict[str, tuple[str, Callable[..., list[dict]], Callable[[list[dict]], str], bool]] = {}
+LOCAL_COLUMNS = ["dataset", "k", "algo", "seconds", "count"]
+SPARK_COLUMNS = ["dataset", "k", "algo", "n_tasks", "seconds", "count"]
+
+
+def _table(name: str, title: str, columns: list[str] | None = None, *,
+           render=None, spark: bool = False):
+    """Register a rows function as table ``name``, printed under
+    ``title`` by ``render``, or as the ``columns`` of `format_rows` (all
+    of them when None); a Spark table's function takes the session first."""
+
+    def register(fn):
+        TABLES[name] = (title, fn, render or (lambda rows: format_rows(rows, columns)), spark)
+        return fn
+
+    return register
+
+
+_table("table1", "Table 1 — dataset statistics (substitutes vs paper)",
+       render=format_table1)(table1_rows)
 
 
 @lru_cache(maxsize=32)
@@ -140,47 +170,9 @@ def _sweep(datasets, ks, lineup_fn) -> list[dict]:
 # --------------------------------------------------------------------------
 
 
-def exp1_rows(datasets=("wk", "po", "cn", "ba"), ks=None) -> list[dict]:
-    """Experiment 1 (Fig. 4): small-ω comparison, k = 4..ω."""
-    return _sweep(datasets, ks, _main_lineup)
-
-
-def exp2_rows(datasets=("st", "or", "db"), ks=None) -> list[dict]:
-    """Experiment 2 (Fig. 5): large-ω comparison, small k + near-ω k."""
-    return _sweep(datasets, ks, _main_lineup)
-
-
-def exp3_rows(datasets=("wk", "st"), ks=None) -> list[dict]:
-    """Experiment 3 (Fig. 6/14): ablation of framework vs ET."""
-    return _sweep(datasets, ks, _ablation_lineup)
-
-
-def exp4_rows(datasets=("wk", "or"), ks=None) -> list[dict]:
-    """Experiment 4 (Fig. 7): truss vs color vs hybrid edge ordering."""
-    return _sweep(datasets, ks, _ordering_lineup)
-
-
-def exp5_rows(datasets=("wk", "or"), ks=None) -> list[dict]:
-    """Experiment 5 (Fig. 8/15): effect of pruning Rule (2)."""
-    return _sweep(datasets, ks, _rule2_lineup)
-
-
-def exp6_rows(datasets=("wk", "cn"), ks=None, ts=(1, 2, 3, 4, 5)) -> list[dict]:
-    """Experiment 6 (Fig. 9): ET threshold sweep t ∈ {1..5}."""
-    rows = []
-    for name in datasets:
-        for k in _ks_for(name, ks):
-            for t in ts:
-                rows.append(
-                    {**timed_local(name, k, "ebbkc-h", et_t=t), "algo": f"t={t}"}
-                )
-    return rows
-
-
+@_table("table2", "Table 2 — ordering generation time (sec)")
 def table2_rows(datasets=("wk", "po", "st", "or")) -> list[dict]:
     """Table 2: truss-ordering vs degeneracy-ordering generation time."""
-    from repro.graph.core import core_decomposition
-
     paper = {"wk": (0.2, 0.1), "po": (10.7, 7.3), "st": (1.1, 0.6), "or": (60.4, 53.3)}
     rows = []
     for name in datasets:
@@ -204,6 +196,75 @@ def table2_rows(datasets=("wk", "po", "st", "or")) -> list[dict]:
     return rows
 
 
+@_table("exp1", "Experiment 1 — small-ω comparison (k = 4..ω)", LOCAL_COLUMNS)
+def exp1_rows(datasets=("wk", "po", "cn", "ba"), ks=None) -> list[dict]:
+    """Experiment 1 (Fig. 4): small-ω comparison, k = 4..ω."""
+    return _sweep(datasets, ks, _main_lineup)
+
+
+@_table("exp2", "Experiment 2 — large-ω comparison (small k + near-ω k)", LOCAL_COLUMNS)
+def exp2_rows(datasets=("st", "or", "db"), ks=None) -> list[dict]:
+    """Experiment 2 (Fig. 5): large-ω comparison, small k + near-ω k."""
+    return _sweep(datasets, ks, _main_lineup)
+
+
+@_table("exp3", "Experiment 3 — ablation", LOCAL_COLUMNS)
+def exp3_rows(datasets=("wk", "st"), ks=None) -> list[dict]:
+    """Experiment 3 (Fig. 6/14): ablation of framework vs ET."""
+    return _sweep(datasets, ks, _ablation_lineup)
+
+
+@_table("exp4", "Experiment 4 — edge orderings", LOCAL_COLUMNS)
+def exp4_rows(datasets=("wk", "or"), ks=None) -> list[dict]:
+    """Experiment 4 (Fig. 7): truss vs color vs hybrid edge ordering."""
+    return _sweep(datasets, ks, _ordering_lineup)
+
+
+@_table("exp5", "Experiment 5 — pruning Rule (2)", LOCAL_COLUMNS)
+def exp5_rows(datasets=("wk", "or"), ks=None) -> list[dict]:
+    """Experiment 5 (Fig. 8/15): effect of pruning Rule (2)."""
+    return _sweep(datasets, ks, _rule2_lineup)
+
+
+@_table("exp6", "Experiment 6 — ET threshold t", LOCAL_COLUMNS)
+def exp6_rows(datasets=("wk", "cn"), ks=None, ts=(1, 2, 3, 4, 5)) -> list[dict]:
+    """Experiment 6 (Fig. 9): ET threshold sweep t ∈ {1..5}."""
+    rows = []
+    for name in datasets:
+        for k in _ks_for(name, ks):
+            for t in ts:
+                rows.append(
+                    {**timed_local(name, k, "ebbkc-h", et_t=t), "algo": f"t={t}"}
+                )
+    return rows
+
+
+@_table("exp8", "Experiment 8 — space costs", ["dataset", "algo", "bytes", "graph_bytes"])
+def exp8_rows(datasets=("wk", "po", "st", "or")) -> list[dict]:
+    """Experiment 8 (Fig. 11): space proxy — broadcast-structure bytes
+    per algorithm next to the raw graph size."""
+    rows = []
+    for name in datasets:
+        g = load(name)
+        graph_bytes = int(g.us.nbytes + g.vs.nbytes)
+        for label, algo in [
+            ("EBBkC+ET", "ebbkc-h"),
+            ("DDegCol", "ddegcol"),
+            ("BitCol", "bitcol"),
+            ("Degen", "degen"),
+        ]:
+            rows.append(
+                {
+                    "dataset": name,
+                    "algo": label,
+                    "bytes": structure_bytes(g, algo),
+                    "graph_bytes": graph_bytes,
+                }
+            )
+    return rows
+
+
+@_table("exp7", "Experiment 7 — parallel schemes", SPARK_COLUMNS, spark=True)
 def exp7_rows(
     spark: SparkSession,
     dataset: str = "cn",
@@ -242,30 +303,7 @@ def exp7_rows(
     return rows
 
 
-def exp8_rows(datasets=("wk", "po", "st", "or")) -> list[dict]:
-    """Experiment 8 (Fig. 11): space proxy — broadcast-structure bytes
-    per algorithm next to the raw graph size."""
-    rows = []
-    for name in datasets:
-        g = load(name)
-        graph_bytes = int(g.us.nbytes + g.vs.nbytes)
-        for label, algo in [
-            ("EBBkC+ET", "ebbkc-h"),
-            ("DDegCol", "ddegcol"),
-            ("BitCol", "bitcol"),
-            ("Degen", "degen"),
-        ]:
-            rows.append(
-                {
-                    "dataset": name,
-                    "algo": label,
-                    "bytes": structure_bytes(g, algo),
-                    "graph_bytes": graph_bytes,
-                }
-            )
-    return rows
-
-
+@_table("exp9", "Experiment 9 — scalability", SPARK_COLUMNS, spark=True)
 def exp9_rows(
     spark: SparkSession,
     datasets=("uk", "cw", "wp"),
@@ -327,3 +365,57 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.3f}"
     return str(v)
+
+
+# --------------------------------------------------------------------------
+# Command line
+# --------------------------------------------------------------------------
+
+
+def get_spark() -> SparkSession:
+    """Local SparkSession with the test fixture's settings. ``SPARK_MASTER``
+    (default ``local[*]``) and ``SPARK_DRIVER_MEM`` (default 8g) apply
+    when no ``PYSPARK_SUBMIT_ARGS`` is set."""
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell",
+    )
+    s = (
+        SparkSession.builder.appName("repro-job")
+        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
+    s.sparkContext.setLogLevel("ERROR")
+    return s
+
+
+def main(argv: list[str]) -> int:
+    """Print the tables named in ``argv`` (``all``: every table, in
+    `TABLES` order). The SparkSession starts only if a table needs it."""
+    names = list(TABLES) if argv == ["all"] else argv
+    if not names or any(n not in TABLES for n in names):
+        print(f"usage: python -m repro.experiments all | {' | '.join(TABLES)} ...",
+              file=sys.stderr)
+        return 2
+    spark = None
+    try:
+        for name in names:
+            title, fn, render, needs_spark = TABLES[name]
+            if needs_spark and spark is None:
+                spark = get_spark()
+            rows = fn(spark) if needs_spark else fn()
+            print(f"\n== {title} ==")
+            print(render(rows))
+    finally:
+        if spark is not None:
+            spark.stop()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

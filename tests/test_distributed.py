@@ -36,6 +36,14 @@ def test_oracle_equivalence(spark, graph, edges, k):
     assert_equivalent(got, kclique_sql(k), dag=dag)
 
 
+def test_oracle_catches_wrong_result(spark, graph, edges):
+    """The oracle check itself: a listing that lost one clique fails it."""
+    rank = core_decomposition(graph).rank
+    got = kcliques_df(edges, 4, rank)
+    with pytest.raises(AssertionError):
+        assert_equivalent(got.exceptAll(got.limit(1)), kclique_sql(4), dag=dag_df(edges, rank))
+
+
 def test_rows_are_cliques(spark, graph, edges):
     rows = kcliques_df(edges, 4).collect()
     expected = set(brute_force_kcliques(graph, 4))

@@ -1,10 +1,13 @@
-"""EBBkC kernels (T / C / H, ± Rule 2, ± early termination) vs brute force."""
+"""EBBkC (T / C / H, ± Rule 2, ± early termination) vs brute force, run
+through the engine's sequential path."""
 import pytest
 
 from repro.core import ebbkc
-from repro.core.bruteforce import brute_force_kcliques, check_cliques, is_clique
+from repro.core.bruteforce import check_cliques, is_clique
+from repro.core.engine import run_local
 from repro.graph import generators as G
 from repro.graph.loader import LocalGraph
+from repro.graph.truss import truss_decomposition
 
 
 GRAPHS = {
@@ -18,28 +21,27 @@ GRAPHS = {
 }
 
 
-def _run(fn, g, k, **kw):
-    got = []
-    fn(g, k, got.append, **kw)
-    return got
+def _run(algo, g, k, **kw):
+    """The cliques of ``algo`` (named ``ebbkc_t`` / ``ebbkc_c`` / ``ebbkc_h``)."""
+    return run_local(g, k, algo.replace("_", "-"), collect=True, **kw)
 
 
 @pytest.mark.parametrize("gname", sorted(GRAPHS))
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_ebbkc_t(gname, k):
-    check_cliques(GRAPHS[gname], k, _run(ebbkc.ebbkc_t, GRAPHS[gname], k))
+    check_cliques(GRAPHS[gname], k, _run("ebbkc_t", GRAPHS[gname], k))
 
 
 @pytest.mark.parametrize("gname", sorted(GRAPHS))
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_ebbkc_c(gname, k):
-    check_cliques(GRAPHS[gname], k, _run(ebbkc.ebbkc_c, GRAPHS[gname], k))
+    check_cliques(GRAPHS[gname], k, _run("ebbkc_c", GRAPHS[gname], k))
 
 
 @pytest.mark.parametrize("gname", sorted(GRAPHS))
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_ebbkc_h(gname, k):
-    check_cliques(GRAPHS[gname], k, _run(ebbkc.ebbkc_h, GRAPHS[gname], k))
+    check_cliques(GRAPHS[gname], k, _run("ebbkc_h", GRAPHS[gname], k))
 
 
 @pytest.mark.parametrize("et_t", [1, 2, 3, 4, 5])
@@ -47,37 +49,37 @@ def test_ebbkc_h(gname, k):
 def test_early_termination_all_thresholds(algo, et_t):
     g = GRAPHS["er_dense"]
     for k in (4, 5, 6):
-        check_cliques(g, k, _run(getattr(ebbkc, algo), g, k, et_t=et_t))
+        check_cliques(g, k, _run(algo, g, k, et_t=et_t))
 
 
 @pytest.mark.parametrize("algo", ["ebbkc_c", "ebbkc_h"])
 def test_rule2_disabled_still_exact(algo):
     g = GRAPHS["ba"]
     for k in (4, 5, 6):
-        check_cliques(g, k, _run(getattr(ebbkc, algo), g, k, rule2=False))
+        check_cliques(g, k, _run(algo, g, k, rule2=False))
 
 
 def test_rule1_disabled_still_exact():
     g = GRAPHS["er_dense"]
     for k in (4, 5):
-        check_cliques(g, k, _run(ebbkc.ebbkc_c, g, k, rule1=False, rule2=False))
+        check_cliques(g, k, _run("ebbkc_c", g, k, rule1=False, rule2=False))
 
 
 def test_k_equal_one_and_two():
     g = GRAPHS["er_sparse"]
-    assert sorted(_run(ebbkc.ebbkc_h, g, 1)) == [(v,) for v in g.vertices]
-    assert sorted(tuple(sorted(c)) for c in _run(ebbkc.ebbkc_h, g, 2)) == g.edge_list()
+    assert sorted(_run("ebbkc_h", g, 1)) == [(v,) for v in g.vertices]
+    assert sorted(tuple(sorted(c)) for c in _run("ebbkc_h", g, 2)) == g.edge_list()
 
 
 def test_k_larger_than_omega_empty():
     g = G.cycle_graph(10)
-    assert _run(ebbkc.ebbkc_h, g, 3) == []
-    assert _run(ebbkc.ebbkc_t, g, 4) == []
+    assert _run("ebbkc_h", g, 3) == []
+    assert _run("ebbkc_t", g, 4) == []
 
 
 def test_emitted_cliques_are_real():
     g = GRAPHS["planted"]
-    for c in _run(ebbkc.ebbkc_h, g, 6, et_t=3):
+    for c in _run("ebbkc_h", g, 6, et_t=3):
         assert len(set(c)) == 6
         assert is_clique(g.adj, c)
 
@@ -89,7 +91,7 @@ def test_counter_example_graph_from_appendix_b():
         [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     )
     for k in (3, 4):
-        check_cliques(g, k, _run(ebbkc.ebbkc_t, g, k))
+        check_cliques(g, k, _run("ebbkc_t", g, k))
 
 
 def test_figure_2_example_graph():
@@ -100,14 +102,14 @@ def test_figure_2_example_graph():
          (E, H), (F_, G_), (F_, H), (G_, H)]
     )
     for k in (3, 4):
-        check_cliques(g, k, _run(ebbkc.ebbkc_c, g, k))
-        check_cliques(g, k, _run(ebbkc.ebbkc_h, g, k, et_t=2))
+        check_cliques(g, k, _run("ebbkc_c", g, k))
+        check_cliques(g, k, _run("ebbkc_h", g, k, et_t=2))
 
 
 def test_top_branch_decomposition_covers_all():
     """Union over truss-ordered top branches = all k-cliques, each once."""
     g = GRAPHS["er_dense"]
-    td = ebbkc.ebbkc_t_prepare(g)
+    td = truss_decomposition(g)
     got = []
     for u, v in td.order:
         ebbkc.ebbkc_t_top_branch(td.nbr_rank, u, v, 5, got.append)
@@ -123,5 +125,5 @@ def test_variants_agree_on_larger_graph():
         ("ebbkc_h", {}),
         ("ebbkc_h", {"et_t": 3}),
     ]:
-        counts.add(len(_run(getattr(ebbkc, algo), g, 5, **kw)))
+        counts.add(len(_run(algo, g, 5, **kw)))
     assert len(counts) == 1

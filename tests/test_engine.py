@@ -313,7 +313,7 @@ def test_count_frees_its_broadcast(spark, graph, edges, monkeypatch):
 
 # Every unit-based algorithm: EP units for all, NP units for VBBkC too.
 UNIT_RUNS = [(a, "ep") for a in ("ebbkc-t", "ebbkc-c", "ebbkc-h")] + [
-    (a, s) for a in ("ddegree", "ddegcol", "sdegree", "bitcol") for s in ("ep", "np")
+    (a, s) for a in ("degen", "ddegree", "ddegcol", "sdegree", "bitcol") for s in ("ep", "np")
 ]
 
 
@@ -333,10 +333,10 @@ def test_count_mode_matches_listing(algo, scheme, g, k, et_t):
     units = _units(algo, scheme, prep, k)
     opts = {"et_t": et_t, "rule1": True, "rule2": algo in ("ebbkc-c", "ebbkc-h")}
     listed: list[tuple[int, ...]] = []
-    _run_units(g, prep, algo, k, units, listed.append, **opts)
+    _run_units(g.adj, prep, algo, k, units, listed.append, **opts)
     assert sorted(tuple(sorted(c)) for c in listed) == exp
     sink = CliqueCount()
-    _run_units(g, prep, algo, k, units, sink, **opts)
+    _run_units(g.adj, prep, algo, k, units, sink, **opts)
     assert sink.n == len(exp)
 
 

@@ -4,8 +4,7 @@ structural lemmas of the paper hold."""
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bruteforce import brute_force_count
-from repro.core.ebbkc import ebbkc_c, ebbkc_h, ebbkc_t
-from repro.core.vbbkc import vbbkc
+from repro.core.engine import run_local
 from repro.graph.core import degeneracy
 from repro.graph.loader import LocalGraph
 from repro.graph.truss import tau
@@ -44,19 +43,16 @@ def near_complete_graphs(draw, max_n=16):
 @settings(max_examples=60, deadline=None)
 def test_all_algorithms_agree_with_brute_force(g, k):
     expected = brute_force_count(g, k)
-    for fn, kw in [
-        (ebbkc_t, {}),
-        (ebbkc_c, {}),
-        (ebbkc_h, {"et_t": 2}),
+    for algo, et_t in [
+        ("ebbkc-t", 0),
+        ("ebbkc-c", 0),
+        ("ebbkc-h", 2),
+        ("degen", 2),
+        ("ddegcol", 2),
+        ("bitcol", 2),
     ]:
-        got = []
-        fn(g, k, got.append, **kw)
-        assert len(got) == expected
-        assert len({tuple(sorted(c)) for c in got}) == expected
-    for variant in ("degen", "ddegcol", "bitcol"):
-        got = []
-        vbbkc(g, k, got.append, variant=variant, et_t=2)
-        assert len(got) == expected
+        got = run_local(g, k, algo, et_t=et_t, collect=True)
+        assert len(got) == len(set(got)) == expected
 
 
 @given(graphs(max_n=20))

@@ -3,14 +3,12 @@ brute force, including the '+' (Rule 2) and +ET variants and the EP/NP
 top-branch decompositions."""
 import pytest
 
+from repro.core import vbbkc
 from repro.core.bruteforce import check_cliques
-from repro.core.vbbkc import (
-    vbbkc,
-    vbbkc_prepare,
-    vbbkc_top_branch_edge,
-    vbbkc_top_branch_vertex,
-)
+from repro.core.engine import _run_units, _units, prepare, run_local
+from repro.core.vbbkc import vbbkc_top_branch_edge, vbbkc_top_branch_vertex
 from repro.graph import generators as G
+from repro.graph.core import degeneracy_dag
 
 
 GRAPHS = {
@@ -25,10 +23,8 @@ GRAPHS = {
 VARIANTS = ["degen", "ddegree", "ddegcol", "sdegree", "bitcol"]
 
 
-def _run(g, k, **kw):
-    got = []
-    vbbkc(g, k, got.append, **kw)
-    return got
+def _run(g, k, variant="ddegcol", **kw):
+    return run_local(g, k, variant, collect=True, **kw)
 
 
 @pytest.mark.parametrize("gname", sorted(GRAPHS))
@@ -54,11 +50,6 @@ def test_et_variants(variant, et_t):
         check_cliques(g, k, _run(g, k, variant=variant, et_t=et_t))
 
 
-def test_unknown_variant_raises():
-    with pytest.raises(ValueError):
-        vbbkc(GRAPHS["k8"], 3, lambda c: None, variant="nope")
-
-
 def test_k_edge_cases():
     g = GRAPHS["er_sparse"]
     assert sorted(_run(g, 1)) == [(v,) for v in g.vertices]
@@ -66,48 +57,60 @@ def test_k_edge_cases():
     assert _run(g, 0) == []
 
 
-def _dag(g):
-    dec = vbbkc_prepare(g)
-    rank = dec.rank
-    dag = {v: [] for v in g.adj}
-    for u, v in zip(g.us.tolist(), g.vs.tolist()):
-        if rank[u] < rank[v]:
-            dag[u].append(v)
-        else:
-            dag[v].append(u)
-    return dec, dag
-
-
 @pytest.mark.parametrize("variant", ["ddegcol", "bitcol"])
 def test_np_decomposition_covers_all(variant):
     g = GRAPHS["er_dense"]
-    dec, dag = _dag(g)
+    order, dag = degeneracy_dag(g)
     got = []
-    for v in dec.order:
-        vbbkc_top_branch_vertex(g, dag, v, 5, got.append, variant=variant)
+    for v in order:
+        vbbkc_top_branch_vertex(g.adj, dag, v, 5, got.append, variant=variant)
     check_cliques(g, 5, got)
 
 
-@pytest.mark.parametrize("variant", ["ddegree", "ddegcol", "sdegree", "bitcol"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_ep_decomposition_covers_all(variant):
     g = GRAPHS["er_dense"]
-    dec, dag = _dag(g)
+    _, dag = degeneracy_dag(g)
     got = []
     for u in g.adj:
         for v in dag[u]:
-            vbbkc_top_branch_edge(g, dag, u, v, 5, got.append, variant=variant)
+            vbbkc_top_branch_edge(g.adj, dag, u, v, 5, got.append, variant=variant)
     check_cliques(g, 5, got)
 
 
 def test_ep_with_et_covers_all():
     g = GRAPHS["planted"]
-    dec, dag = _dag(g)
+    _, dag = degeneracy_dag(g)
     got = []
     for u in g.adj:
         for v in dag[u]:
-            vbbkc_top_branch_edge(g, dag, u, v, 6, got.append,
+            vbbkc_top_branch_edge(g.adj, dag, u, v, 6, got.append,
                                   variant="ddegcol", et_t=3)
     check_cliques(g, 6, got)
+
+
+@pytest.mark.parametrize("scheme", ["ep", "np"])
+def test_degen_units_recurse_over_the_global_dag(monkeypatch, scheme):
+    """kClist, unit by unit: every Degen recursion step reads the global
+    degeneracy DAG restricted to its candidates, never a local ordering,
+    so the NP units together are the whole-graph recursion."""
+    g = G.barabasi_albert(120, 6, seed=3)
+    prep = prepare(g, "degen")
+    glob = {v: set(nb) for v, nb in prep["dag_out"].items()}
+    rec = vbbkc._rec_v
+    calls = []
+
+    def spy(s, cand, l, dag, *rest):
+        calls.append(len(s))
+        assert all(dag[w] & cand == glob[w] & cand for w in cand)
+        return rec(s, cand, l, dag, *rest)
+
+    monkeypatch.setattr(vbbkc, "_rec_v", spy)
+    got = []
+    units = _units("degen", scheme, prep, 5)
+    _run_units(g.adj, prep, "degen", 5, units, got.append, et_t=0, rule1=True, rule2=False)
+    assert calls.count(1 if scheme == "np" else 2) == len(units)
+    check_cliques(g, 5, got)
 
 
 def test_all_variants_same_count_on_larger_graph():
