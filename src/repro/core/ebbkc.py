@@ -13,8 +13,8 @@ branches and runs them:
   edge {u, w} in π_τ, see `repro.graph.truss`), whose keys double as the
   adjacency.
 * EBBkC-C — color-based edge ordering over the color DAG (Algorithm 4)
-  with pruning Rules (1) and (2), :func:`ebbkc_c_top_branch` +
-  :func:`_rec_c`.
+  with pruning Rule (1) and, unless ``rule2`` is off, Rule (2),
+  :func:`ebbkc_c_top_branch` + :func:`_rec_c`.
 * EBBkC-H — hybrid (Algorithm 5), :func:`ebbkc_h_top_branch`: truss
   ordering at the initial branch, per-branch re-coloring + color DAG
   below.
@@ -142,7 +142,6 @@ def _rec_c(
     col: dict[int, int],
     und: dict[int, set[int]],
     et_t: int,
-    rule1: bool,
     rule2: bool,
     out: Out,
 ) -> None:
@@ -166,12 +165,12 @@ def _rec_c(
     for u in cand:
         ou = co_out[u] & cand
         for v in ou:
-            if rule1 and (col[u] < l or col[v] < l - 1):
+            if col[u] < l or col[v] < l - 1:
                 continue
             cand2 = co_out[v] & ou
             if rule2 and _distinct_colors(cand2, col) < l - 2:
                 continue
-            _rec_c(s + (u, v), cand2, l - 2, co_out, col, und, et_t, rule1, rule2, out)
+            _rec_c(s + (u, v), cand2, l - 2, co_out, col, und, et_t, rule2, out)
 
 
 def ebbkc_c_top_branch(
@@ -183,18 +182,17 @@ def ebbkc_c_top_branch(
     k: int,
     out: Out,
     et_t: int = 0,
-    rule1: bool = True,
     rule2: bool = True,
 ) -> None:
     """The initial-branch sub-problem of EBBkC-C for the color-DAG edge
     u→v (vid(u) < vid(v), hence col(u) ≥ col(v)): apply Rules (1)/(2)
     at l = k, branch on the common out-neighbors, recurse with k − 2."""
-    if rule1 and (col[u] < k or col[v] < k - 1):
+    if col[u] < k or col[v] < k - 1:
         return
     cand = co_out[u] & co_out[v]
     if rule2 and _distinct_colors(cand, col) < k - 2:
         return
-    _rec_c((u, v), cand, k - 2, co_out, col, und, et_t, rule1, rule2, out)
+    _rec_c((u, v), cand, k - 2, co_out, col, und, et_t, rule2, out)
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +207,6 @@ def ebbkc_h_top_branch(
     k: int,
     out: Out,
     et_t: int = 0,
-    rule1: bool = True,
     rule2: bool = True,
 ) -> None:
     """One initial-branch sub-problem of EBBkC-H: slice the truss-ordered
@@ -226,5 +223,5 @@ def ebbkc_h_top_branch(
     if try_early_terminate((u, v), verts, adj2, l, et_t, out):
         return
     co = subgraph_color_ordering(verts, adj2)
-    _rec_c((u, v), verts, l, co.out, co.col, adj2, et_t, rule1, rule2, out)
+    _rec_c((u, v), verts, l, co.out, co.col, adj2, et_t, rule2, out)
 

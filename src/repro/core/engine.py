@@ -110,7 +110,6 @@ def _run_units(
     out: Out,
     *,
     et_t: int,
-    rule1: bool,
     rule2: bool,
 ) -> None:
     """Run the kernel for each top-branch unit against sink ``out``.
@@ -123,11 +122,11 @@ def _run_units(
     elif algo == "ebbkc-h":
         nr = prep["nbr_rank"]
         for u, v in units:
-            _e.ebbkc_h_top_branch(nr, u, v, k, out, et_t, rule1, rule2)
+            _e.ebbkc_h_top_branch(nr, u, v, k, out, et_t, rule2)
     elif algo == "ebbkc-c":
         co_out, col = prep["out"], prep["col"]
         for u, v in units:
-            _e.ebbkc_c_top_branch(co_out, col, adj, u, v, k, out, et_t, rule1, rule2)
+            _e.ebbkc_c_top_branch(co_out, col, adj, u, v, k, out, et_t, rule2)
     else:
         dag_out = prep["dag_out"]
         for u, v in units:
@@ -188,7 +187,6 @@ def run_local(
     algo: str = "ebbkc-h",
     *,
     et_t: int = 0,
-    rule1: bool = True,
     rule2: bool | None = None,
     collect: bool = False,
 ):
@@ -206,7 +204,7 @@ def run_local(
         prep = prepare(g, algo)
         units = _units(algo, "ep" if algo in EBBKC_ALGOS else "np", prep, k)
         _run_units(g.adj, prep, algo, k, units, out,
-                   et_t=et_t, rule1=rule1, rule2=_rule2(algo, rule2))
+                   et_t=et_t, rule2=_rule2(algo, rule2))
 
     return _with_sink(run, collect)
 
@@ -244,7 +242,7 @@ def _task_iterator_factory(bc, collect: bool):
         p = bc.value
         adj, prep, algo, k, units, n_tasks = (
             p.get("adj"), p["prep"], p["algo"], p["k"], p["units"], p["n_tasks"])
-        opts = {"et_t": p["et_t"], "rule1": p["rule1"], "rule2": p["rule2"]}
+        opts = {"et_t": p["et_t"], "rule2": p["rule2"]}
         for pdf in batches:
             for i in pdf["id"].tolist():
                 res = _with_sink(
@@ -268,7 +266,6 @@ def _distribute(
     scheme: str,
     n_tasks: int | None,
     et_t: int,
-    rule1: bool,
     rule2: bool | None,
     collect: bool,
     distributed_preprocess: bool,
@@ -296,7 +293,6 @@ def _distribute(
             "algo": algo,
             "k": k,
             "et_t": et_t,
-            "rule1": rule1,
             "rule2": _rule2(algo, rule2),
             "closed_form": closed_form,
         }
@@ -316,7 +312,6 @@ def count_kcliques(
     scheme: str = "ep",
     n_tasks: int | None = None,
     et_t: int = 0,
-    rule1: bool = True,
     rule2: bool | None = None,
     distributed_preprocess: bool = False,
     closed_form: bool = True,
@@ -334,7 +329,7 @@ def count_kcliques(
     (experiments 7 and 9 time that)."""
     job, bc = _distribute(
         spark, edges, k, algo, scheme=scheme, n_tasks=n_tasks, et_t=et_t,
-        rule1=rule1, rule2=rule2, collect=False,
+        rule2=rule2, collect=False,
         distributed_preprocess=distributed_preprocess, closed_form=closed_form,
     )
     try:
@@ -353,7 +348,6 @@ def list_kcliques(
     scheme: str = "ep",
     n_tasks: int | None = None,
     et_t: int = 0,
-    rule1: bool = True,
     rule2: bool | None = None,
     distributed_preprocess: bool = False,
 ) -> DataFrame:
@@ -362,7 +356,7 @@ def list_kcliques(
     broadcast every time it runs, so the broadcast stays alive."""
     return _distribute(
         spark, edges, k, algo, scheme=scheme, n_tasks=n_tasks, et_t=et_t,
-        rule1=rule1, rule2=rule2, collect=True,
+        rule2=rule2, collect=True,
         distributed_preprocess=distributed_preprocess,
     )[0]
 

@@ -28,7 +28,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from repro.graph.plex import inverse_adj, partition_2plex, plexity
+from repro.graph.plex import inverse_adj, partition_2plex
 
 Out = Callable[[tuple[int, ...]], None]
 
@@ -160,6 +160,32 @@ def count_cliques_tplex(verts: set[int], adj: dict[int, set[int]], l: int) -> in
     return rec(c0, l)
 
 
+def _plex_scan(
+    verts: set[int], adj: dict[int, set[int]], t_max: int
+) -> tuple[int, int] | None:
+    """Early-exit plexity scan: (min degree, number of full vertices) of
+    (verts, adj), or None when it is not a ``t_max``-plex.
+
+    g is a t_max-plex iff every induced degree is ≥ |V| − t_max. Most
+    branches fail on the first vertex, making the check cheap (the paper
+    maintains min degree during construction for the same O(|V(g)|)
+    effect)."""
+    n = len(verts)
+    need = n - t_max
+    full = n - 1
+    min_deg = n
+    n_full = 0
+    for w in verts:
+        d = len(adj[w] & verts)
+        if d < need:
+            return None
+        if d < min_deg:
+            min_deg = d
+        if d == full:
+            n_full += 1
+    return min_deg, n_full
+
+
 def try_early_terminate(
     s: tuple[int, ...],
     verts: set[int],
@@ -178,49 +204,20 @@ def try_early_terminate(
     """
     if t_max <= 0 or not verts:
         return False
+    scan = _plex_scan(verts, adj, t_max)
+    if scan is None:
+        return False
+    min_deg, n_full = scan
+    n = len(verts)
     if type(out) is CliqueCount:
-        return _count_early_terminate(verts, adj, l, t_max, out)
-    # Early-exit scan: g is a t_max-plex iff every induced degree is
-    # ≥ |V| − t_max. Most branches fail on the first vertex, making the
-    # check cheap (the paper maintains min degree during construction
-    # for the same O(|V(g)|) effect).
-    need = len(verts) - t_max
-    min_deg = len(verts)
-    for w in verts:
-        d = len(adj[w] & verts)
-        if d < need:
-            return False
-        if d < min_deg:
-            min_deg = d
-    t = len(verts) - min_deg
-    if t <= 2:
+        if n - min_deg <= 2:
+            out.n += count_cliques_2plex(n_full, (n - n_full) // 2, l)
+        else:
+            out.n += count_cliques_tplex(verts, adj, l)
+    elif n - min_deg <= 2:
         list_cliques_2plex(s, verts, adj, l, out)
     else:
         list_cliques_tplex(s, verts, adj, l, out)
-    return True
-
-
-def _count_early_terminate(
-    verts: set[int], adj: dict[int, set[int]], l: int, t_max: int, out: CliqueCount
-) -> bool:
-    """`try_early_terminate` for a counting sink: the same plexity scan,
-    which also tallies the full vertices f, then the closed-form count."""
-    n = len(verts)
-    need = n - t_max
-    min_deg = n
-    n_full = 0
-    for w in verts:
-        d = len(adj[w] & verts)
-        if d < need:
-            return False
-        if d < min_deg:
-            min_deg = d
-        if d == n - 1:
-            n_full += 1
-    if n - min_deg <= 2:
-        out.n += count_cliques_2plex(n_full, (n - n_full) // 2, l)
-    else:
-        out.n += count_cliques_tplex(verts, adj, l)
     return True
 
 

@@ -28,6 +28,7 @@ whole-graph recursion.
 from __future__ import annotations
 
 from repro.graph.coloring import subgraph_color_ordering
+from repro.graph.core import degree_order, orient
 
 from .etplex import Out, try_early_terminate
 
@@ -172,7 +173,7 @@ def _run_branch_bits(
 def _branch(
     variant: str,
     adj: dict[int, set[int]],
-    dag_out: dict[int, list[int]],
+    dag_out: dict[int, set[int]],
     s: tuple[int, ...],
     verts: set[int],
     l: int,
@@ -184,7 +185,7 @@ def _branch(
     vertices) in the variant's ordering: Degen keeps the global DAG, the
     others order the branch locally by degree or by color."""
     if variant == "degen":
-        dag = {w: verts.intersection(dag_out[w]) for w in verts}
+        dag = {w: dag_out[w] & verts for w in verts}
         _rec_v(s, verts, l, dag, None, adj, et_t, rule2, out)
         return
     local = {w: adj[w] & verts for w in verts}
@@ -192,19 +193,17 @@ def _branch(
         co = subgraph_color_ordering(verts, local)
         order, col, dag = co.order, co.col, co.out
     else:
-        order, col, dag = sorted(verts, key=lambda w: (-len(local[w]), w)), None, None
+        order, col = degree_order(local), None
+        dag = orient(order, local)[1] if variant == "ddegree" else None
     if variant in ("sdegree", "bitcol"):
         _run_branch_bits(s, order, local, col, l, et_t, rule2, out)
         return
-    if dag is None:  # DDegree: orient the branch along its degree ordering
-        vid = {w: i for i, w in enumerate(order)}
-        dag = {w: {x for x in local[w] if vid[x] > vid[w]} for w in verts}
     _rec_v(s, verts, l, dag, col, local, et_t, rule2, out)
 
 
 def vbbkc_top_branch_vertex(
     adj: dict[int, set[int]],
-    dag_out: dict[int, list[int]],
+    dag_out: dict[int, set[int]],
     v: int,
     k: int,
     out: Out,
@@ -215,12 +214,12 @@ def vbbkc_top_branch_vertex(
 ) -> None:
     """NP unit of work: the initial sub-branch that adds vertex v (its
     candidates are v's out-neighbors in the degeneracy DAG)."""
-    _branch(variant, adj, dag_out, (v,), set(dag_out[v]), k - 1, out, rule2, et_t)
+    _branch(variant, adj, dag_out, (v,), dag_out[v], k - 1, out, rule2, et_t)
 
 
 def vbbkc_top_branch_edge(
     adj: dict[int, set[int]],
-    dag_out: dict[int, list[int]],
+    dag_out: dict[int, set[int]],
     u: int,
     v: int,
     k: int,
@@ -232,5 +231,5 @@ def vbbkc_top_branch_edge(
 ) -> None:
     """EP unit of work: the first two branching steps fused — S = {u, v}
     for a degeneracy-DAG edge u→v, candidates = common out-neighbors."""
-    verts = set(dag_out[u]) & set(dag_out[v])
+    verts = dag_out[u] & dag_out[v]
     _branch(variant, adj, dag_out, (u, v), verts, k - 2, out, rule2, et_t)

@@ -4,34 +4,36 @@ Section 4.3: color vertices by iteratively giving an uncolored vertex
 the smallest color absent from its neighbors, then order vertices by
 non-increasing color (ties by vertex id). ``id(v)`` is the position of
 v in that ordering; the DAG orients each edge from the smaller id to
-the larger. Coloring in reverse degeneracy order uses ≤ δ + 1 colors.
+the larger (`core.orient`). One greedy loop serves both colorings: the
+global one in reverse degeneracy order (≤ δ + 1 colors) and the
+per-branch re-coloring in degree-descending order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .core import core_decomposition
+from .core import core_decomposition, degree_order, orient
 from .loader import LocalGraph
 
 
-def greedy_coloring(
-    g: LocalGraph, order: list[int] | None = None
-) -> dict[int, int]:
-    """Smallest-available-color greedy coloring; colors start at 1.
-
-    ``order`` is the processing order; defaults to reverse degeneracy
-    order (the "inverse degeneracy based" heuristic the paper cites).
-    """
-    if order is None:
-        order = list(reversed(core_decomposition(g).order))
+def _greedy(order: Iterable[int], adj: dict[int, set[int]]) -> dict[int, int]:
+    """Smallest-available-color greedy coloring in ``order``; colors
+    start at 1."""
     col: dict[int, int] = {}
     for v in order:
-        used = {col[w] for w in g.adj[v] if w in col}
+        used = {col[w] for w in adj[v] if w in col}
         c = 1
         while c in used:
             c += 1
         col[v] = c
     return col
+
+
+def greedy_coloring(g: LocalGraph) -> dict[int, int]:
+    """The global coloring, in reverse degeneracy order (the "inverse
+    degeneracy based" heuristic the paper cites)."""
+    return _greedy(reversed(core_decomposition(g).order), g.adj)
 
 
 @dataclass
@@ -49,52 +51,29 @@ class ColorOrdering:
     col: dict[int, int]
     out: dict[int, set[int]]
 
-    @property
-    def n_colors(self) -> int:
-        return max(self.col.values()) if self.col else 0
 
-
-def color_ordering(g: LocalGraph, coloring: dict[int, int] | None = None) -> ColorOrdering:
-    """Build the color-based ordering + DAG for a graph."""
-    col = coloring if coloring is not None else greedy_coloring(g)
-    order = sorted(g.adj, key=lambda v: (-col[v], v))
-    vid = {v: i for i, v in enumerate(order)}
-    out: dict[int, set[int]] = {v: set() for v in g.adj}
-    for u, v in zip(g.us.tolist(), g.vs.tolist()):
-        if vid[u] < vid[v]:
-            out[u].add(v)
-        else:
-            out[v].add(u)
+def _by_color(adj: dict[int, set[int]], col: dict[int, int]) -> ColorOrdering:
+    order = sorted(adj, key=lambda v: (-col[v], v))
+    vid, out = orient(order, adj)
     return ColorOrdering(order=order, vid=vid, col=col, out=out)
+
+
+def color_ordering(g: LocalGraph) -> ColorOrdering:
+    """Build the color-based ordering + DAG for a graph."""
+    return _by_color(g.adj, greedy_coloring(g))
 
 
 def subgraph_color_ordering(
     verts: set[int], adj: dict[int, set[int]]
 ) -> ColorOrdering:
-    """Color-based ordering of an induced subgraph given by a vertex set
-    and a *super*-graph adjacency (restricted on the fly).
+    """Color-based ordering of a branch graph: ``verts`` and its own
+    adjacency ``adj`` (keys ``verts``, values inside ``verts``).
 
     Used by EBBkC-H / DDegCol for the per-branch re-coloring: the branch
     graphs are tiny (≤ τ vertices), so a degree-descending greedy
     coloring is applied directly.
     """
-    local_adj = {v: adj[v] & verts for v in verts}
-    order = sorted(verts, key=lambda v: (-len(local_adj[v]), v))
-    col: dict[int, int] = {}
-    for v in order:
-        used = {col[w] for w in local_adj[v] if w in col}
-        c = 1
-        while c in used:
-            c += 1
-        col[v] = c
-    corder = sorted(verts, key=lambda v: (-col[v], v))
-    vid = {v: i for i, v in enumerate(corder)}
-    out: dict[int, set[int]] = {v: set() for v in verts}
-    for v in verts:
-        for w in local_adj[v]:
-            if vid[v] < vid[w]:
-                out[v].add(w)
-    return ColorOrdering(order=corder, vid=vid, col=col, out=out)
+    return _by_color(adj, _greedy(degree_order(adj), adj))
 
 
 def is_proper(g: LocalGraph, col: dict[int, int]) -> bool:

@@ -1,4 +1,5 @@
-"""Degrees, k-core decomposition and the degeneracy ordering.
+"""Degrees, k-core decomposition, the degeneracy ordering and the DAG
+orientation every vertex ordering shares (:func:`orient`).
 
 Degrees are computed distributed (DataFrame groupBy over the symmetric
 edge view). The peel itself — repeatedly remove a minimum-degree vertex —
@@ -9,8 +10,8 @@ published distributed k-clique system does for its preprocessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -102,25 +103,33 @@ def k_core(g: LocalGraph, k: int) -> set[int]:
     return {v for v, c in dec.core_number.items() if c >= k}
 
 
-def degeneracy_dag(
-    g: LocalGraph, core: CoreDecomposition | None = None
-) -> tuple[list[int], dict[int, list[int]]]:
+def orient(
+    order: Iterable[int], adj: dict[int, set[int]]
+) -> tuple[dict[int, int], dict[int, set[int]]]:
+    """Orient every edge of ``adj`` along the vertex ordering ``order``.
+
+    Returns ``(pos, out)``: ``pos[v]`` is v's position in ``order`` and
+    ``out[v]`` the set of v's neighbors that come later. This one DAG
+    builder serves the degeneracy, color and degree orderings.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    return pos, {v: {w for w in adj[v] if pos[w] > i} for v, i in pos.items()}
+
+
+def degree_order(adj: dict[int, set[int]]) -> list[int]:
+    """Vertices by non-increasing degree, ties by vertex id."""
+    return sorted(adj, key=lambda v: (-len(adj[v]), v))
+
+
+def degeneracy_dag(g: LocalGraph) -> tuple[list[int], dict[int, set[int]]]:
     """Orient edges along the degeneracy ordering.
 
-    Returns ``(order, out)`` where ``out[v]`` lists, in no particular
-    order, the neighbors of v that come *after* v in the degeneracy
-    ordering — each |out[v]| ≤ δ, the bound VBBkC's complexity rests on.
-    ``core`` is a precomputed peel of ``g``; without it ``g`` is peeled.
+    Returns ``(order, out)`` where ``out[v]`` is the set of neighbors of
+    v that come *after* v in the degeneracy ordering — each
+    |out[v]| ≤ δ, the bound VBBkC's complexity rests on.
     """
-    dec = core if core is not None else core_decomposition(g)
-    rank = dec.rank
-    out: dict[int, list[int]] = {v: [] for v in g.adj}
-    for u, v in zip(g.us.tolist(), g.vs.tolist()):
-        if rank[u] < rank[v]:
-            out[u].append(v)
-        else:
-            out[v].append(u)
-    return dec.order, out
+    order = core_decomposition(g).order
+    return order, orient(order, g.adj)[1]
 
 
 def oriented_edges_df(edges: DataFrame, rank: dict[int, int]) -> DataFrame:

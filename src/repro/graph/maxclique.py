@@ -11,7 +11,7 @@ from .core import degeneracy_dag
 from .loader import LocalGraph
 
 
-def _max_clique_masked(verts: list[int], adj: dict[int, set[int]], lb: int) -> int:
+def _max_clique_masked(verts: set[int], adj: dict[int, set[int]], lb: int) -> int:
     """Max clique size in the induced subgraph, pruned against ``lb``
     (returns a value ≤ lb if nothing larger exists)."""
     idx = {v: i for i, v in enumerate(verts)}

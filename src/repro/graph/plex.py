@@ -25,11 +25,6 @@ def plexity(verts: set[int], adj: dict[int, set[int]]) -> int:
     return len(verts) - min(len(adj[v] & verts) for v in verts)
 
 
-def is_t_plex(verts: set[int], adj: dict[int, set[int]], t: int) -> bool:
-    """True iff the induced subgraph is a t-plex."""
-    return plexity(verts, adj) <= max(t, 0) if verts else True
-
-
 def inverse_adj(verts: set[int], adj: dict[int, set[int]]) -> dict[int, set[int]]:
     """Adjacency of the inverse graph of the induced subgraph: w ~ v in
     g_inv iff w ≠ v and w is NOT adjacent to v in g."""

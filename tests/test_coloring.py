@@ -8,7 +8,7 @@ from repro.graph.coloring import (
     is_proper,
     subgraph_color_ordering,
 )
-from repro.graph.core import degeneracy
+from repro.graph.core import degeneracy, degeneracy_dag, degree_order, orient
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -53,14 +53,32 @@ def test_color_ordering_vid_consistent():
     assert all(co.order[i] == v for v, i in co.vid.items())
 
 
-def test_color_dag_complete_and_acyclic():
-    g = G.erdos_renyi(30, 0.35, seed=5)
+def _degeneracy_dag(g):
+    order, out = degeneracy_dag(g)
+    return {v: i for i, v in enumerate(order)}, out
+
+
+def _color_dag(g):
     co = color_ordering(g)
-    n_arcs = sum(len(nb) for nb in co.out.values())
-    assert n_arcs == g.m
-    for v, nb in co.out.items():
-        for w in nb:
-            assert co.vid[v] < co.vid[w]
+    return co.vid, co.out
+
+
+ORIENTATIONS = {
+    "degeneracy": _degeneracy_dag,
+    "color": _color_dag,
+    "degree": lambda g: orient(degree_order(g.adj), g.adj),
+}
+
+
+@pytest.mark.parametrize("ordering", sorted(ORIENTATIONS))
+def test_color_dag_complete_and_acyclic(ordering):
+    """Every ordering's DAG holds each edge exactly once, pointing from
+    the lower position to the higher."""
+    g = G.erdos_renyi(30, 0.35, seed=5)
+    pos, out = ORIENTATIONS[ordering](g)
+    arcs = [(v, w) for v, nb in out.items() for w in nb]
+    assert sorted(tuple(sorted(a)) for a in arcs) == sorted(g.edge_list())
+    assert all(pos[v] < pos[w] for v, w in arcs)
 
 
 def test_dag_endpoint_colors():
@@ -76,7 +94,7 @@ def test_dag_endpoint_colors():
 def test_subgraph_color_ordering_proper():
     g = G.erdos_renyi(40, 0.35, seed=7)
     verts = set(list(g.adj)[:20])
-    co = subgraph_color_ordering(verts, g.adj)
+    co = subgraph_color_ordering(verts, {v: g.adj[v] & verts for v in verts})
     for v in verts:
         for w in g.adj[v] & verts:
             assert co.col[v] != co.col[w]
@@ -86,7 +104,7 @@ def test_subgraph_color_ordering_proper():
 def test_subgraph_color_ordering_dag():
     g = G.erdos_renyi(40, 0.35, seed=8)
     verts = set(list(g.adj)[5:25])
-    co = subgraph_color_ordering(verts, g.adj)
+    co = subgraph_color_ordering(verts, {v: g.adj[v] & verts for v in verts})
     for v, nb in co.out.items():
         for w in nb:
             assert co.vid[v] < co.vid[w]

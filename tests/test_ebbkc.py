@@ -59,12 +59,6 @@ def test_rule2_disabled_still_exact(algo):
         check_cliques(g, k, _run(algo, g, k, rule2=False))
 
 
-def test_rule1_disabled_still_exact():
-    g = GRAPHS["er_dense"]
-    for k in (4, 5):
-        check_cliques(g, k, _run("ebbkc_c", g, k, rule1=False, rule2=False))
-
-
 def test_k_equal_one_and_two():
     g = GRAPHS["er_sparse"]
     assert sorted(_run("ebbkc_h", g, 1)) == [(v,) for v in g.vertices]

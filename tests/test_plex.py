@@ -5,7 +5,6 @@ from repro.graph import generators as G
 from repro.graph.plex import (
     induced_adj,
     inverse_adj,
-    is_t_plex,
     partition_2plex,
     plexity,
 )
@@ -14,7 +13,6 @@ from repro.graph.plex import (
 def test_clique_is_1_plex():
     g = G.complete_graph(6)
     assert plexity(set(g.adj), g.adj) == 1
-    assert is_t_plex(set(g.adj), g.adj, 1)
 
 
 def test_plexity_empty_set():
