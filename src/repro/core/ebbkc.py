@@ -15,9 +15,12 @@ branches and runs them:
 * EBBkC-C — color-based edge ordering over the color DAG (Algorithm 4)
   with pruning Rule (1) and, unless ``rule2`` is off, Rule (2),
   :func:`ebbkc_c_top_branch` + :func:`_rec_c`.
-* EBBkC-H — hybrid (Algorithm 5), :func:`ebbkc_h_top_branch`: truss
-  ordering at the initial branch, per-branch re-coloring + color DAG
-  below.
+* EBBkC-H — hybrid (Algorithm 5): truss ordering at the initial branch,
+  per-branch re-coloring + color DAG below. :func:`ebbkc_h_sweep` runs
+  the initial branches as one sweep along π_τ: it keeps the adjacency
+  ``rem`` of G minus e_1..e_i, deleting each edge as the sweep passes
+  it, so g_i is the plain set intersection ``rem[u] & rem[v]`` and no
+  rank is read. :func:`ebbkc_h_top_branch` processes one branch.
 
 Every kernel takes an ``out`` sink receiving each k-clique as a tuple of
 distinct vertices (listing semantics — output cost is part of the
@@ -26,10 +29,12 @@ tuple), plus an ``et_t`` early-termination threshold (0 disables ET; see
 `etplex`, where an `etplex.CliqueCount` sink makes ET count the branches
 it consumes instead of listing them). A ``*_top_branch`` entry point
 processes one initial-branch sub-problem (the unit of the paper's EP
-parallel scheme); :func:`initial_branches` picks the truss-ordered ones
-that can hold a k-clique.
+parallel scheme); :func:`initial_branches` picks the π_τ positions whose
+branch can hold a k-clique.
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 from repro.graph.coloring import subgraph_color_ordering
 from repro.graph.truss import Edge
@@ -53,11 +58,11 @@ def _initial_branch(nr: NbrRank, u: int, v: int) -> tuple[int, set[int]]:
     return r, {w for w in nu.keys() & nv.keys() if nu[w] > r and nv[w] > r}
 
 
-def initial_branches(order: list[Edge], sizes: list[int], k: int) -> list[Edge]:
-    """The edges of π_τ whose initial branch g_i can hold a k-clique, in
-    π_τ order: |g_i| = ``sizes[i]`` ≥ k − 2 (Algorithm 2's size prune,
-    read off the truss peel instead of slicing g_i)."""
-    return [e for e, s in zip(order, sizes) if s >= k - 2]
+def initial_branches(sizes: list[int], k: int) -> list[int]:
+    """The positions i in π_τ whose initial branch g_i can hold a
+    k-clique, ascending: |g_i| = ``sizes[i]`` ≥ k − 2 (Algorithm 2's size
+    prune, read off the truss peel instead of slicing g_i)."""
+    return [i for i, s in enumerate(sizes) if s >= k - 2]
 
 
 def _branch_adj(nr: NbrRank, verts: set[int], min_rank: int) -> dict[int, set[int]]:
@@ -200,8 +205,34 @@ def ebbkc_c_top_branch(
 # --------------------------------------------------------------------------
 
 
+def _sweep(
+    order: list[Edge], p0: int, units: list[int]
+) -> Iterator[tuple[dict[int, set[int]], int, int]]:
+    """Walk π_τ through the ascending positions ``units``, yielding
+    ``(rem, u, v)`` for each, where (u, v) is the edge at that position
+    and ``rem`` the adjacency of the edges after it: G minus e_1..e_i, so
+    g_i = ``rem[u] & rem[v]``. ``order[j]`` is the edge at position
+    p0 + j; the edges before the first unit are never read. ``rem`` is
+    only valid until the next step."""
+    if not units:
+        return
+    j = units[0] - p0
+    rem: dict[int, set[int]] = {}
+    for u, v in order[j:]:
+        rem.setdefault(u, set()).add(v)
+        rem.setdefault(v, set()).add(u)
+    for i in units:
+        while j <= i - p0:
+            u, v = order[j]
+            rem[u].remove(v)
+            rem[v].remove(u)
+            j += 1
+        u, v = order[i - p0]
+        yield rem, u, v
+
+
 def ebbkc_h_top_branch(
-    nr: NbrRank,
+    rem: dict[int, set[int]],
     u: int,
     v: int,
     k: int,
@@ -210,8 +241,10 @@ def ebbkc_h_top_branch(
     rule2: bool = True,
 ) -> None:
     """One initial-branch sub-problem of EBBkC-H: slice the truss-ordered
-    branch graph g_i, re-color it, and run the color recursion inside."""
-    r, verts = _initial_branch(nr, u, v)
+    branch graph g_i from ``rem`` (the adjacency of the edges after
+    e_i = (u, v) in π_τ), re-color it, and run the color recursion
+    inside."""
+    verts = rem[u] & rem[v]
     l = k - 2
     if len(verts) < l:
         return
@@ -219,9 +252,24 @@ def ebbkc_h_top_branch(
         for w in verts:
             out((u, v, w))
         return
-    adj2 = _branch_adj(nr, verts, r)
+    adj2 = {w: rem[w] & verts for w in verts}
     if try_early_terminate((u, v), verts, adj2, l, et_t, out):
         return
-    co = subgraph_color_ordering(verts, adj2)
+    co = subgraph_color_ordering(adj2)
     _rec_c((u, v), verts, l, co.out, co.col, adj2, et_t, rule2, out)
 
+
+def ebbkc_h_sweep(
+    order: list[Edge],
+    p0: int,
+    units: list[int],
+    k: int,
+    out: Out,
+    et_t: int = 0,
+    rule2: bool = True,
+) -> None:
+    """EBBkC-H over the initial branches at the ascending π_τ positions
+    ``units`` (``order[j]`` is the edge at position p0 + j), in one
+    :func:`_sweep`."""
+    for rem, u, v in _sweep(order, p0, units):
+        ebbkc_h_top_branch(rem, u, v, k, out, et_t, rule2)

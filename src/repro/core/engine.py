@@ -8,15 +8,20 @@ steps fused) or per *vertex* (NP). The engine:
 1. collects the normalized edge table, computes the algorithm's
    preprocessing on the driver (truss peel / coloring / degeneracy DAG;
    per-edge supports can come from the distributed triangle dataflow),
-2. broadcasts the structures the kernels read: for the truss-ordered
-   EBBkC-T/H only the k-truss part of the per-vertex rank map
-   ``nbr_rank`` (the ranks ≥ that of the first unit; its keys are the
-   adjacency), otherwise the adjacency + ordering structures,
+2. broadcasts the structures the kernels read, for the truss-ordered
+   EBBkC-T/H only their k-truss part, from p0, the position in π_τ of
+   the first unit on: for EBBkC-T the per-vertex rank map ``nbr_rank``
+   (the ranks ≥ p0; its keys are the adjacency), for EBBkC-H the suffix
+   ``order[p0:]`` of π_τ itself, from which a task sweeps its branches
+   (`ebbkc.ebbkc_h_sweep`); otherwise the adjacency + ordering
+   structures,
 3. puts the top-branch unit list in the same broadcast. For EBBkC-T/H
-   the units are the edges whose initial branch has |g_i| ≥ k − 2
-   vertices (the truss peel records |g_i|), in π_τ order; no other
-   branch can hold a k-clique. Task ``i`` of ``n_tasks`` takes the
-   stripe ``units[i::n_tasks]`` in `_units` order (no cost model), and
+   the units are the initial branches with |g_i| ≥ k − 2 vertices (the
+   truss peel records |g_i|), in π_τ order: EBBkC-H's are their
+   positions in π_τ, EBBkC-T's their edges; no other branch can hold a
+   k-clique. Task ``i`` of ``n_tasks`` takes the stripe
+   ``units[i::n_tasks]`` in `_units` order (no cost model; an EBBkC-H
+   stripe stays ascending, so each task sweeps its own), and
    ``spark.range(n_tasks)`` with one row per partition drives the
    ``mapInPandas`` job, so there is no exchange,
 4. runs the pure-Python kernels in that single-stage job; a count call
@@ -40,7 +45,6 @@ array) sorted ascending.
 from __future__ import annotations
 
 import pickle
-from typing import Iterable
 
 import pandas as pd
 from pyspark import Broadcast
@@ -71,6 +75,8 @@ def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
             if edges_df is not None
             else truss_decomposition(g)
         )
+        if algo == "ebbkc-h":  # order[j] is the edge at position p0 + j
+            return {"kind": "sweep", "order": td.order, "p0": 0, "sizes": td.sizes}
         return {"kind": "truss", "nbr_rank": td.nbr_rank, "order": td.order, "sizes": td.sizes}
     if algo == "ebbkc-c":
         co = color_ordering(g)
@@ -81,11 +87,15 @@ def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _units(algo: str, scheme: str, prep, k: int) -> list[tuple[int, int]]:
-    """Top-branch units as (a, b) pairs; NP units use b = -1. EBBkC-T/H
-    units are the initial branches that can hold a k-clique."""
-    if algo in ("ebbkc-t", "ebbkc-h"):
-        return _e.initial_branches(prep["order"], prep["sizes"], k)
+def _units(algo: str, scheme: str, prep, k: int) -> list:
+    """Top-branch units: (a, b) pairs, where NP units use b = -1, except
+    for EBBkC-H, whose units are positions in π_τ. EBBkC-T/H units are
+    the initial branches that can hold a k-clique."""
+    if algo == "ebbkc-h":
+        return _e.initial_branches(prep["sizes"], k)
+    if algo == "ebbkc-t":
+        order = prep["order"]
+        return [order[i] for i in _e.initial_branches(prep["sizes"], k)]
     if algo == "ebbkc-c":
         vid = prep["vid"]
         units = [
@@ -106,23 +116,21 @@ def _run_units(
     prep,
     algo: str,
     k: int,
-    units: Iterable[tuple[int, int]],
+    units: list,
     out: Out,
     *,
     et_t: int,
     rule2: bool,
 ) -> None:
-    """Run the kernel for each top-branch unit against sink ``out``.
-    ``adj`` is the graph's adjacency (None for EBBkC-T/H, whose rank map
-    holds it)."""
+    """Run the kernel for each top-branch unit against sink ``out``; the
+    EBBkC-H units, ascending, in one sweep. ``adj`` is the graph's
+    adjacency (None for EBBkC-T/H, whose rank map or π_τ holds it)."""
     if algo == "ebbkc-t":
         nr = prep["nbr_rank"]
         for u, v in units:
             _e.ebbkc_t_top_branch(nr, u, v, k, out, et_t)
     elif algo == "ebbkc-h":
-        nr = prep["nbr_rank"]
-        for u, v in units:
-            _e.ebbkc_h_top_branch(nr, u, v, k, out, et_t, rule2)
+        _e.ebbkc_h_sweep(prep["order"], prep["p0"], units, k, out, et_t, rule2)
     elif algo == "ebbkc-c":
         co_out, col = prep["out"], prep["col"]
         for u, v in units:
@@ -210,18 +218,22 @@ def run_local(
 
 
 def _structures(g: LocalGraph, prep, units=None) -> dict:
-    """The graph structures a Spark task reads: the truss rank map alone
-    (its keys are the adjacency), else the adjacency + ``prep``.
+    """The graph structures a Spark task reads: for EBBkC-T the truss
+    rank map alone (its keys are the adjacency), for EBBkC-H π_τ alone,
+    else the adjacency + ``prep``.
 
-    Given the truss-ordered ``units`` (in π_τ order), the map holds only
-    the ranks from the first unit's on: the k-truss, as truss numbers
-    never decrease along π_τ. Every rank a unit's branch reads is above
-    its own, so the kernels see the same branches."""
-    if prep["kind"] != "truss":
+    Given the truss-ordered ``units`` (in π_τ order), they hold only the
+    part from p0, the first unit's position, on: the k-truss, as truss
+    numbers never decrease along π_τ. Every edge a unit's branch reads
+    comes after its own, so the kernels see the same branches."""
+    if prep["kind"] not in ("truss", "sweep"):
         return {"adj": g.adj, "prep": prep}
+    order = prep["order"]
+    if prep["kind"] == "sweep":
+        p0 = 0 if units is None else units[0] if units else len(order)
+        return {"prep": {"kind": "sweep", "order": order[p0:], "p0": p0}}
     nr = prep["nbr_rank"]
     if units is not None:
-        order = prep["order"]
         p0 = nr[units[0][0]][units[0][1]] if units else len(order)
         nr = {}
         for i in range(p0, len(order)):
@@ -362,7 +374,12 @@ def list_kcliques(
 
 
 def structure_bytes(g: LocalGraph, algo: str) -> int:
-    """Pickled size of the k-independent structures the engine
-    broadcasts for ``algo`` (experiment 8's space proxy): the whole truss
-    rank map, not the k-truss part one call ships."""
-    return len(pickle.dumps(_structures(g, prepare(g, algo))))
+    """Pickled size of the k-independent structures a task holds for
+    ``algo`` (experiment 8's space proxy): what the engine broadcasts,
+    with the whole truss rank map or π_τ rather than the k-truss part
+    one call ships, plus, for EBBkC-H, the adjacency its sweep builds
+    from π_τ (``rem`` before the first deletion)."""
+    n = len(pickle.dumps(_structures(g, prepare(g, algo))))
+    if algo == "ebbkc-h":
+        n += len(pickle.dumps(g.adj))
+    return n

@@ -14,12 +14,13 @@
 * :func:`try_early_terminate` — the dispatch used inside the BB
   kernels: checks the branch graph's plexity against the threshold t
   and runs the matching procedure, returning True when it consumed the
-  branch.
+  branch. :func:`early_terminate` is its second half, for a caller that
+  has already scanned the branch.
 
 The listing procedures emit every clique (the paper's task is listing,
 and reported times include output) as a tuple of distinct vertices, in
 no particular order, to ``out`` (the engine's collecting sinks sort
-them). Only a :class:`CliqueCount` sink switches `try_early_terminate`
+them). Only a :class:`CliqueCount` sink switches `early_terminate`
 to the closed-form counts; the Spark count path passes one.
 """
 from __future__ import annotations
@@ -36,7 +37,7 @@ Out = Callable[[tuple[int, ...]], None]
 class CliqueCount:
     """Counting sink: ``n`` is the number of cliques it has received.
 
-    A branch that `try_early_terminate` consumes adds its clique count to
+    A branch that early termination consumes adds its clique count to
     ``n`` in closed form instead of calling the sink once per clique.
     """
 
@@ -59,10 +60,20 @@ def list_cliques_2plex(
     """kC2Plex: emit S ∪ C for every l-clique C of the 2-plex (verts, adj).
 
     ``adj`` is the *branch* adjacency (already restricted; values may be
-    supersets — they are intersected with ``verts``).
+    supersets — they are intersected with ``verts``). At l ≤ 2 the
+    l-cliques are the vertices or the edges, listed directly; the F / L / R
+    partition would give the same.
     """
-    if l <= 0:
-        if l == 0:
+    if l <= 2:
+        if l == 2:
+            for w in verts:
+                for x in adj[w] & verts:
+                    if w < x:
+                        out(s + (w, x))
+        elif l == 1:
+            for w in verts:
+                out(s + (w,))
+        elif l == 0:
             out(s)
         return
     f, left, right = partition_2plex(verts, adj)
@@ -195,8 +206,8 @@ def try_early_terminate(
     out: Out,
 ) -> bool:
     """If (verts, adj) is a t-plex with t ≤ ``t_max``, list its l-cliques
-    with the matching specialized procedure and return True. When ``out``
-    is a :class:`CliqueCount`, add their number to ``out.n`` instead.
+    with the matching specialized procedure (:func:`early_terminate`) and
+    return True.
 
     ``t_max`` ≤ 0 disables early termination entirely. The paper's
     default policy (Section 6.1) is t = 2 for k ≤ τ/2 and t = 3 for
@@ -207,6 +218,22 @@ def try_early_terminate(
     scan = _plex_scan(verts, adj, t_max)
     if scan is None:
         return False
+    early_terminate(s, verts, adj, l, scan, out)
+    return True
+
+
+def early_terminate(
+    s: tuple[int, ...],
+    verts: set[int],
+    adj: dict[int, set[int]],
+    l: int,
+    scan: tuple[int, int],
+    out: Out,
+) -> None:
+    """List the l-cliques of the non-empty t-plex (verts, adj) whose
+    ``scan`` = (min degree, number of full vertices) the caller already
+    holds: kC2Plex when t ≤ 2, else kCtPlex. When ``out`` is a
+    :class:`CliqueCount`, add their number to ``out.n`` instead."""
     min_deg, n_full = scan
     n = len(verts)
     if type(out) is CliqueCount:
@@ -218,7 +245,6 @@ def try_early_terminate(
         list_cliques_2plex(s, verts, adj, l, out)
     else:
         list_cliques_tplex(s, verts, adj, l, out)
-    return True
 
 
 def default_t_threshold(k: int, tau_val: int) -> int:

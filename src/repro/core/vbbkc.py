@@ -30,7 +30,7 @@ from __future__ import annotations
 from repro.graph.coloring import subgraph_color_ordering
 from repro.graph.core import degree_order, orient
 
-from .etplex import Out, try_early_terminate
+from .etplex import Out, early_terminate, try_early_terminate
 
 VARIANTS = ("degen", "ddegree", "ddegcol", "sdegree", "bitcol")
 
@@ -116,15 +116,16 @@ def _rec_v_bits(
                 out(s + (verts[i], verts[j]))
         return
     if et_t > 0:
-        min_deg = min((und_mask[i] & cand).bit_count() for i in _iter_bits(cand))
+        degs = [(und_mask[i] & cand).bit_count() for i in _iter_bits(cand)]
+        min_deg = min(degs)
         if n - min_deg <= et_t:
             vset = {verts[i] for i in _iter_bits(cand)}
             adj2 = {
                 verts[i]: {verts[j] for j in _iter_bits(und_mask[i] & cand)}
                 for i in _iter_bits(cand)
             }
-            if try_early_terminate(s, vset, adj2, l, et_t, out):
-                return
+            early_terminate(s, vset, adj2, l, (min_deg, degs.count(n - 1)), out)
+            return
     for i in _iter_bits(cand):
         if colarr is not None and colarr[i] < l:
             continue
@@ -190,7 +191,7 @@ def _branch(
         return
     local = {w: adj[w] & verts for w in verts}
     if variant in ("ddegcol", "bitcol"):
-        co = subgraph_color_ordering(verts, local)
+        co = subgraph_color_ordering(local)
         order, col, dag = co.order, co.col, co.out
     else:
         order, col = degree_order(local), None

@@ -63,11 +63,9 @@ def color_ordering(g: LocalGraph) -> ColorOrdering:
     return _by_color(g.adj, greedy_coloring(g))
 
 
-def subgraph_color_ordering(
-    verts: set[int], adj: dict[int, set[int]]
-) -> ColorOrdering:
-    """Color-based ordering of a branch graph: ``verts`` and its own
-    adjacency ``adj`` (keys ``verts``, values inside ``verts``).
+def subgraph_color_ordering(adj: dict[int, set[int]]) -> ColorOrdering:
+    """Color-based ordering of a branch graph given by its own adjacency
+    ``adj`` (keys the branch's vertices, values inside them).
 
     Used by EBBkC-H / DDegCol for the per-branch re-coloring: the branch
     graphs are tiny (≤ τ vertices), so a degree-descending greedy

@@ -15,7 +15,7 @@ The peel has two products for the kernels:
 
 * the per-vertex rank map ``nbr_rank[u][w]`` = position of edge {u, w}
   in π_τ, stored in both directions. Its keys are the adjacency, so
-  EBBkC-T/H slice a branch with plain dict reads. During the peel the
+  EBBkC-T slices a branch with plain dict reads. During the peel the
   same map is the remaining graph, holding edge ids: a removed edge
   leaves it, and every edge is written back with its position once the
   peel ends;
@@ -25,11 +25,13 @@ The peel has two products for the kernels:
   edges come after it in π_τ.
 
 Algorithm 2 discards a branch with fewer than k − 2 vertices, so the
-engine's units are only the edges with ``sizes[i] ≥ k − 2``; the rest
-are never sliced. Truss numbers (the running max of ``sizes``, + 2)
-never decrease along π_τ, so the k-truss is the suffix of π_τ from the
-first kept edge. A kept branch reads no rank below its own, so the
-Spark engine ships only that part of the rank map.
+engine's units are only the positions i with ``sizes[i] ≥ k − 2``; the
+rest are never sliced. Truss numbers (the running max of ``sizes``,
++ 2) never decrease along π_τ, so the k-truss is the suffix of π_τ from
+the first kept edge. A kept branch reads no edge before its own, so the
+Spark engine ships only that part: of the rank map for EBBkC-T, of
+``order`` itself for EBBkC-H, which slices its branches by sweeping
+that suffix instead of reading ranks.
 """
 from __future__ import annotations
 

@@ -94,7 +94,7 @@ def test_dag_endpoint_colors():
 def test_subgraph_color_ordering_proper():
     g = G.erdos_renyi(40, 0.35, seed=7)
     verts = set(list(g.adj)[:20])
-    co = subgraph_color_ordering(verts, {v: g.adj[v] & verts for v in verts})
+    co = subgraph_color_ordering({v: g.adj[v] & verts for v in verts})
     for v in verts:
         for w in g.adj[v] & verts:
             assert co.col[v] != co.col[w]
@@ -104,7 +104,7 @@ def test_subgraph_color_ordering_proper():
 def test_subgraph_color_ordering_dag():
     g = G.erdos_renyi(40, 0.35, seed=8)
     verts = set(list(g.adj)[5:25])
-    co = subgraph_color_ordering(verts, {v: g.adj[v] & verts for v in verts})
+    co = subgraph_color_ordering({v: g.adj[v] & verts for v in verts})
     for v, nb in co.out.items():
         for w in nb:
             assert co.vid[v] < co.vid[w]

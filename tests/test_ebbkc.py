@@ -1,6 +1,7 @@
 """EBBkC (T / C / H, ± Rule 2, ± early termination) vs brute force, run
 through the engine's sequential path."""
 import pytest
+from hypothesis import given, settings
 
 from repro.core import ebbkc
 from repro.core.bruteforce import check_cliques, is_clique
@@ -8,6 +9,8 @@ from repro.core.engine import run_local
 from repro.graph import generators as G
 from repro.graph.loader import LocalGraph
 from repro.graph.truss import truss_decomposition
+
+from .test_properties import graphs
 
 
 GRAPHS = {
@@ -108,6 +111,25 @@ def test_top_branch_decomposition_covers_all():
     for u, v in td.order:
         ebbkc.ebbkc_t_top_branch(td.nbr_rank, u, v, 5, got.append)
     check_cliques(g, 5, got)
+
+
+@given(graphs(max_n=16))
+@settings(max_examples=60, deadline=None)
+def test_sweep_slices_the_rank_filtered_branch(g):
+    """At every π_τ position i the sweep's g_i = rem[u] & rem[v] and its
+    adjacency {w: rem[w] & g_i} are EBBkC-T's rank-filtered slice: over
+    all positions, and over every other position of a suffix of π_τ."""
+    td = truss_decomposition(g)
+    m = len(td.order)
+    for p0, units in ((0, list(range(m))), (m // 2, list(range(m // 2, m, 2)))):
+        seen = []
+        for rem, u, v in ebbkc._sweep(td.order[p0:], p0, units):
+            r, verts = ebbkc._initial_branch(td.nbr_rank, u, v)
+            seen.append(r)
+            assert rem[u] & rem[v] == verts
+            assert {w: rem[w] & verts for w in verts} == ebbkc._branch_adj(
+                td.nbr_rank, verts, r)
+        assert seen == units
 
 
 def test_variants_agree_on_larger_graph():

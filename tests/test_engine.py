@@ -210,6 +210,50 @@ def test_truss_broadcast_ships_only_the_rank_map(spark, graph, edges, monkeypatc
     assert p0 > 0  # at k = 5 the k-truss is a proper part of the graph
 
 
+def test_sweep_broadcast_ships_only_the_order_suffix(spark, graph, edges, monkeypatch):
+    """An EBBkC-H call ships no adjacency and no rank map, only the
+    k-truss part of π_τ, order[p0:], with p0 the first unit. The units
+    are the positions with |g_i| ≥ k − 2, and the shipped suffix holds
+    every edge of every k-clique."""
+    sc = spark.sparkContext
+    sent = []
+    broadcast = sc.broadcast
+    monkeypatch.setattr(sc, "broadcast", lambda v: sent.append(v) or broadcast(v))
+    td = truss_decomposition(collect_local(edges))
+    for k in (3, 4, 5):
+        exp = brute_force_kcliques(graph, k)
+        assert count_kcliques(spark, edges, k, "ebbkc-h") == len(exp)
+        payload = sent.pop()
+        assert "adj" not in payload
+        assert payload["prep"].keys() == {"kind", "order", "p0"}
+        units = [i for i, s in enumerate(td.sizes) if s >= k - 2]
+        assert payload["units"] == units
+        p0 = payload["prep"]["p0"]
+        assert p0 == units[0]
+        assert payload["prep"]["order"] == td.order[p0:]
+        shipped = set(payload["prep"]["order"])
+        for c in exp:
+            assert set(combinations(c, 2)) <= shipped
+    assert p0 > 0  # at k = 5 the k-truss is a proper part of the graph
+
+
+def test_ebbkc_h_early_terminates_at_l_2(graph, monkeypatch):
+    """At k = 4 EBBkC-H's initial branches have l = 2, and those that
+    are 2-plexes still end in kC2Plex."""
+    from repro.core import etplex
+
+    ls = []
+    orig = etplex.list_cliques_2plex
+
+    def spy(s, verts, adj, l, out):
+        ls.append(l)
+        orig(s, verts, adj, l, out)
+
+    monkeypatch.setattr(etplex, "list_cliques_2plex", spy)
+    check_cliques(graph, 4, run_local(graph, 4, "ebbkc-h", et_t=2, collect=True))
+    assert ls and set(ls) == {2}
+
+
 # (algo, scheme): EP for every algorithm here, NP for the VBBkC ones.
 FANOUTS = [(a, "ep") for a in ("ebbkc-t", "ebbkc-c", "ebbkc-h", "ddegcol", "bitcol")] + [
     (a, "np") for a in ("ddegcol", "bitcol")

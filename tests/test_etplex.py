@@ -37,6 +37,21 @@ def test_kc2plex_matches_brute_force(seed, n):
         assert count_cliques_2plex(len(f), len(left), l) == len(got)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_kc2plex_lists_vertices_and_edges_directly(seed):
+    """At l = 1 and l = 2 kC2Plex lists the vertices and the edges of the
+    branch, each once and merged with S, also when the rows are supersets
+    of the branch (vertex 0 is in the rows but not in ``verts``)."""
+    g = G.random_t_plex(9, 2, seed=seed)
+    verts = set(g.adj) - {0}
+    s = (100, 101)
+    for l in (1, 2):
+        got = []
+        list_cliques_2plex(s, verts, g.adj, l, got.append)
+        assert all(c[:2] == s for c in got)
+        assert _norm(c[2:] for c in got) == _norm(brute_force_in_subset(g, verts, l))
+
+
 def test_kc2plex_on_pure_clique():
     g = G.complete_graph(7)
     got = []

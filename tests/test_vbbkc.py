@@ -50,6 +50,22 @@ def test_et_variants(variant, et_t):
         check_cliques(g, k, _run(g, k, variant=variant, et_t=et_t))
 
 
+@pytest.mark.parametrize("variant", ["sdegree", "bitcol"])
+def test_bitset_et_scans_once(variant, monkeypatch):
+    """The bitset recursion's own degree scan decides early termination:
+    the consumed branches are not scanned again by ``etplex._plex_scan``."""
+    from repro.core import etplex
+
+    scans, consumed = [], []
+    monkeypatch.setattr(etplex, "_plex_scan", lambda *a: scans.append(a))
+    et = vbbkc.early_terminate
+    monkeypatch.setattr(vbbkc, "early_terminate", lambda *a: consumed.append(a) or et(*a))
+    g = GRAPHS["er_dense"]
+    for k in (5, 6):
+        check_cliques(g, k, _run(g, k, variant=variant, et_t=3))
+    assert consumed and not scans
+
+
 def test_k_edge_cases():
     g = GRAPHS["er_sparse"]
     assert sorted(_run(g, 1)) == [(v,) for v in g.vertices]
