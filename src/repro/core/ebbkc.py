@@ -206,28 +206,28 @@ def ebbkc_c_top_branch(
 
 
 def _sweep(
-    order: list[Edge], p0: int, units: list[int]
+    order: list[Edge], units: list[int]
 ) -> Iterator[tuple[dict[int, set[int]], int, int]]:
     """Walk π_τ through the ascending positions ``units``, yielding
-    ``(rem, u, v)`` for each, where (u, v) is the edge at that position
-    and ``rem`` the adjacency of the edges after it: G minus e_1..e_i, so
-    g_i = ``rem[u] & rem[v]``. ``order[j]`` is the edge at position
-    p0 + j; the edges before the first unit are never read. ``rem`` is
-    only valid until the next step."""
+    ``(rem, u, v)`` for each, where (u, v) = ``order[i]`` is the edge at
+    that position and ``rem`` the adjacency of the edges after it: G
+    minus e_1..e_i, so g_i = ``rem[u] & rem[v]``. The edges before the
+    first unit are never read. ``rem`` is only valid until the next
+    step."""
     if not units:
         return
-    j = units[0] - p0
+    j = units[0]
     rem: dict[int, set[int]] = {}
     for u, v in order[j:]:
         rem.setdefault(u, set()).add(v)
         rem.setdefault(v, set()).add(u)
     for i in units:
-        while j <= i - p0:
+        while j <= i:
             u, v = order[j]
             rem[u].remove(v)
             rem[v].remove(u)
             j += 1
-        u, v = order[i - p0]
+        u, v = order[i]
         yield rem, u, v
 
 
@@ -243,7 +243,9 @@ def ebbkc_h_top_branch(
     """One initial-branch sub-problem of EBBkC-H: slice the truss-ordered
     branch graph g_i from ``rem`` (the adjacency of the edges after
     e_i = (u, v) in π_τ), re-color it, and run the color recursion
-    inside."""
+    inside. Early termination reads ``rem`` itself (its rows are
+    supersets of the branch's), so g_i's adjacency is only built for a
+    branch that ET does not consume."""
     verts = rem[u] & rem[v]
     l = k - 2
     if len(verts) < l:
@@ -252,16 +254,15 @@ def ebbkc_h_top_branch(
         for w in verts:
             out((u, v, w))
         return
-    adj2 = {w: rem[w] & verts for w in verts}
-    if try_early_terminate((u, v), verts, adj2, l, et_t, out):
+    if try_early_terminate((u, v), verts, rem, l, et_t, out):
         return
+    adj2 = {w: rem[w] & verts for w in verts}
     co = subgraph_color_ordering(adj2)
     _rec_c((u, v), verts, l, co.out, co.col, adj2, et_t, rule2, out)
 
 
 def ebbkc_h_sweep(
     order: list[Edge],
-    p0: int,
     units: list[int],
     k: int,
     out: Out,
@@ -269,7 +270,6 @@ def ebbkc_h_sweep(
     rule2: bool = True,
 ) -> None:
     """EBBkC-H over the initial branches at the ascending π_τ positions
-    ``units`` (``order[j]`` is the edge at position p0 + j), in one
-    :func:`_sweep`."""
-    for rem, u, v in _sweep(order, p0, units):
+    ``units`` of ``order``, in one :func:`_sweep`."""
+    for rem, u, v in _sweep(order, units):
         ebbkc_h_top_branch(rem, u, v, k, out, et_t, rule2)

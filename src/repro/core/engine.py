@@ -5,16 +5,17 @@ initial branch at (∅, G, k) yields independent sub-branches — one per
 *edge* (EP: EBBkC's natural unit, or VBBkC with the first two branching
 steps fused) or per *vertex* (NP). The engine:
 
-1. collects the normalized edge table, computes the algorithm's
-   preprocessing on the driver (truss peel / coloring / degeneracy DAG;
-   per-edge supports can come from the distributed triangle dataflow),
-2. broadcasts the structures the kernels read, for the truss-ordered
-   EBBkC-T/H only their k-truss part, from p0, the position in π_τ of
-   the first unit on: for EBBkC-T the per-vertex rank map ``nbr_rank``
-   (the ranks ≥ p0; its keys are the adjacency), for EBBkC-H the suffix
-   ``order[p0:]`` of π_τ itself, from which a task sweeps its branches
-   (`ebbkc.ebbkc_h_sweep`); otherwise the adjacency + ordering
-   structures,
+1. collects the normalized edge table and computes the algorithm's
+   preprocessing on the driver (truss peel / coloring / degeneracy DAG).
+   For the truss-ordered EBBkC-T/H that is π_τ of the k-truss only: the
+   triangles (numpy, or the distributed triangle dataflow) cut the graph
+   to its k-truss, and the sequential peel runs on what is left
+   (`repro.graph.truss`),
+2. broadcasts the structures the kernels read: for EBBkC-T the
+   per-vertex rank map ``nbr_rank`` of the k-truss (its keys are the
+   adjacency), for EBBkC-H π_τ of the k-truss itself, from which a task
+   sweeps its branches (`ebbkc.ebbkc_h_sweep`); otherwise the adjacency
+   + ordering structures,
 3. puts the top-branch unit list in the same broadcast. For EBBkC-T/H
    the units are the initial branches with |g_i| ≥ k − 2 vertices (the
    truss peel records |g_i|), in π_τ order: EBBkC-H's are their
@@ -64,19 +65,20 @@ VBBKC_ALGOS = _v.VARIANTS
 ALGORITHMS = EBBKC_ALGOS + VBBKC_ALGOS
 
 
-def prepare(g: LocalGraph, algo: str, *, edges_df: DataFrame | None = None):
-    """Algorithm preprocessing (the part the paper's reported times
-    include). For truss-ordered algorithms, per-edge supports come from
-    the distributed triangle dataflow over ``edges_df`` (``g`` collected)
+def prepare(g: LocalGraph, algo: str, k: int, *, edges_df: DataFrame | None = None):
+    """Algorithm preprocessing for k-cliques (the part the paper's
+    reported times include). The truss-ordered algorithms peel only the
+    k-truss (all of ``g`` for k ≤ 2), with the triangles from the
+    distributed triangle dataflow over ``edges_df`` (``g`` collected)
     when it is given."""
     if algo in ("ebbkc-t", "ebbkc-h"):
         td = (
-            truss_decomposition_from_spark(edges_df, g)
+            truss_decomposition_from_spark(edges_df, g, k=k)
             if edges_df is not None
-            else truss_decomposition(g)
+            else truss_decomposition(g, k=k)
         )
-        if algo == "ebbkc-h":  # order[j] is the edge at position p0 + j
-            return {"kind": "sweep", "order": td.order, "p0": 0, "sizes": td.sizes}
+        if algo == "ebbkc-h":
+            return {"kind": "sweep", "order": td.order, "sizes": td.sizes}
         return {"kind": "truss", "nbr_rank": td.nbr_rank, "order": td.order, "sizes": td.sizes}
     if algo == "ebbkc-c":
         co = color_ordering(g)
@@ -130,7 +132,7 @@ def _run_units(
         for u, v in units:
             _e.ebbkc_t_top_branch(nr, u, v, k, out, et_t)
     elif algo == "ebbkc-h":
-        _e.ebbkc_h_sweep(prep["order"], prep["p0"], units, k, out, et_t, rule2)
+        _e.ebbkc_h_sweep(prep["order"], units, k, out, et_t, rule2)
     elif algo == "ebbkc-c":
         co_out, col = prep["out"], prep["col"]
         for u, v in units:
@@ -209,7 +211,7 @@ def run_local(
     def run(out: Out) -> None:
         if list_small_k(g, k, out):
             return
-        prep = prepare(g, algo)
+        prep = prepare(g, algo, k)
         units = _units(algo, "ep" if algo in EBBKC_ALGOS else "np", prep, k)
         _run_units(g.adj, prep, algo, k, units, out,
                    et_t=et_t, rule2=_rule2(algo, rule2))
@@ -217,30 +219,16 @@ def run_local(
     return _with_sink(run, collect)
 
 
-def _structures(g: LocalGraph, prep, units=None) -> dict:
+def _structures(g: LocalGraph, prep) -> dict:
     """The graph structures a Spark task reads: for EBBkC-T the truss
     rank map alone (its keys are the adjacency), for EBBkC-H π_τ alone,
-    else the adjacency + ``prep``.
-
-    Given the truss-ordered ``units`` (in π_τ order), they hold only the
-    part from p0, the first unit's position, on: the k-truss, as truss
-    numbers never decrease along π_τ. Every edge a unit's branch reads
-    comes after its own, so the kernels see the same branches."""
-    if prep["kind"] not in ("truss", "sweep"):
-        return {"adj": g.adj, "prep": prep}
-    order = prep["order"]
+    else the adjacency + ``prep``. `prepare` has already cut the truss
+    structures to the k-truss."""
     if prep["kind"] == "sweep":
-        p0 = 0 if units is None else units[0] if units else len(order)
-        return {"prep": {"kind": "sweep", "order": order[p0:], "p0": p0}}
-    nr = prep["nbr_rank"]
-    if units is not None:
-        p0 = nr[units[0][0]][units[0][1]] if units else len(order)
-        nr = {}
-        for i in range(p0, len(order)):
-            u, v = order[i]
-            nr.setdefault(u, {})[v] = i
-            nr.setdefault(v, {})[u] = i
-    return {"prep": {"kind": "truss", "nbr_rank": nr}}
+        return {"prep": {"kind": "sweep", "order": prep["order"]}}
+    if prep["kind"] == "truss":
+        return {"prep": {"kind": "truss", "nbr_rank": prep["nbr_rank"]}}
+    return {"adj": g.adj, "prep": prep}
 
 
 def _task_iterator_factory(bc, collect: bool):
@@ -293,13 +281,13 @@ def _distribute(
         res = run_local(g, k, algo, collect=collect)
         rows = [(list(c),) for c in res] if collect else [(res,)]
         return spark.createDataFrame(rows, schema=schema), None
-    prep = prepare(g, algo, edges_df=edges if distributed_preprocess else None)
+    prep = prepare(g, algo, k, edges_df=edges if distributed_preprocess else None)
     units = _units(algo, scheme, prep, k)
     sc = spark.sparkContext
     n_tasks = n_tasks if n_tasks is not None else sc.defaultParallelism
     bc = sc.broadcast(
         {
-            **_structures(g, prep, units),
+            **_structures(g, prep),
             "units": units,
             "n_tasks": n_tasks,
             "algo": algo,
@@ -376,10 +364,11 @@ def list_kcliques(
 def structure_bytes(g: LocalGraph, algo: str) -> int:
     """Pickled size of the k-independent structures a task holds for
     ``algo`` (experiment 8's space proxy): what the engine broadcasts,
-    with the whole truss rank map or π_τ rather than the k-truss part
-    one call ships, plus, for EBBkC-H, the adjacency its sweep builds
-    from π_τ (``rem`` before the first deletion)."""
-    n = len(pickle.dumps(_structures(g, prepare(g, algo))))
+    with the whole graph's truss rank map or π_τ (k = 0, no cut) rather
+    than the k-truss part one call ships, plus, for EBBkC-H, the
+    adjacency its sweep builds from π_τ (``rem`` before the first
+    deletion)."""
+    n = len(pickle.dumps(_structures(g, prepare(g, algo, 0))))
     if algo == "ebbkc-h":
         n += len(pickle.dumps(g.adj))
     return n

@@ -7,18 +7,30 @@ to the ordering (Eq. 4) — exactly the classic truss-decomposition peel
 the ordering ever produces, i.e. the maximum support-at-removal, and
 relates to the maximum truss number k_max by k_max = τ + 2 (footnote 2).
 
-Initial per-edge supports come from the distributed triangle dataflow
-(`triangles.edge_support_df`); the peel itself is the sequential bucket
-loop below (O(m^1.5) with set intersections), run on the driver.
+The triangles come as edge-id triples, from the numpy listing
+(`triangles.triangle_edge_ids`) or from the distributed triangle
+dataflow (`triangles.triangles_df`, mapped to the same ids). A call for
+k-cliques first cuts the graph to its k-truss: in vectorised rounds it
+drops every edge on fewer than k − 2 live triangles, until none is left
+to drop. Only the survivors go through the sequential bucket peel
+below (O(m^1.5) with set intersections), with their supports counted
+over the live triangles. With k ≤ 2 nothing is cut, and the peel is the
+whole graph's.
+
+The cut loses nothing Algorithm 2 keeps. Truss numbers (the running max
+of the supports-at-removal, + 2) never decrease along π_τ, so the
+whole-graph peel removes every edge of truss number < k first, each at a
+support below k − 2, whose branch is too small to hold a k-clique; the
+k-truss is what remains, and the rest of that peel is a peel of the
+k-truss. The cut peel is one too, up to tie-breaks between edges of
+equal support.
 
 The peel has two products for the kernels:
 
-* the per-vertex rank map ``nbr_rank[u][w]`` = position of edge {u, w}
-  in π_τ, stored in both directions. Its keys are the adjacency, so
-  EBBkC-T slices a branch with plain dict reads. During the peel the
-  same map is the remaining graph, holding edge ids: a removed edge
-  leaves it, and every edge is written back with its position once the
-  peel ends;
+* ``order``, π_τ itself, which EBBkC-H sweeps; its per-vertex rank map
+  ``nbr_rank[u][w]`` = position of edge {u, w}, derived from it for
+  EBBkC-T, whose keys are the adjacency, so EBBkC-T slices a branch
+  with plain dict reads;
 * ``sizes[i]``, the support at which the peel removes ``order[i]``. It
   equals |g_i|, the size of that edge's initial branch: the common
   neighbours still present at its removal are exactly those whose two
@@ -26,23 +38,22 @@ The peel has two products for the kernels:
 
 Algorithm 2 discards a branch with fewer than k − 2 vertices, so the
 engine's units are only the positions i with ``sizes[i] ≥ k − 2``; the
-rest are never sliced. Truss numbers (the running max of ``sizes``,
-+ 2) never decrease along π_τ, so the k-truss is the suffix of π_τ from
-the first kept edge. A kept branch reads no edge before its own, so the
-Spark engine ships only that part: of the rank map for EBBkC-T, of
-``order`` itself for EBBkC-H, which slices its branches by sweeping
-that suffix instead of reading ranks.
+rest are never sliced. After the cut the first edge has support
+≥ k − 2, so the first unit is position 0 and the Spark engine ships the
+whole (cut) rank map or order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
+import numpy as np
 from pyspark.sql import DataFrame
 
 from .core import core_decomposition
 from .loader import LocalGraph, collect_local
-from .triangles import edge_support_df, local_edge_support
+from .triangles import edge_ids, triangle_edge_ids, triangles_df
 
 Edge = tuple[int, int]
 
@@ -50,13 +61,11 @@ Edge = tuple[int, int]
 @dataclass
 class TrussDecomposition:
     """``order`` is π_τ (edges in removal order, canonical u < v);
-    ``nbr_rank[u][w]`` = ``nbr_rank[w][u]`` is the position of edge
-    {u, w} in ``order``; ``sizes[i]`` is the support-at-removal of
-    ``order[i]``, which is |g_i|, the size of its initial branch.
+    ``sizes[i]`` is the support-at-removal of ``order[i]``, which is
+    |g_i|, the size of its initial branch.
     """
 
     order: list[Edge]
-    nbr_rank: dict[int, dict[int, int]]
     sizes: list[int]
 
     @property
@@ -68,6 +77,16 @@ class TrussDecomposition:
     def rank(self) -> dict[Edge, int]:
         """Edge → position in π_τ."""
         return {e: i for i, e in enumerate(self.order)}
+
+    @cached_property
+    def nbr_rank(self) -> dict[int, dict[int, int]]:
+        """``nbr_rank[u][w]`` = ``nbr_rank[w][u]`` = position of edge
+        {u, w} in π_τ; its keys are the adjacency of the peeled edges."""
+        nr: dict[int, dict[int, int]] = {}
+        for i, (u, v) in enumerate(self.order):
+            nr.setdefault(u, {})[v] = i
+            nr.setdefault(v, {})[u] = i
+        return nr
 
     @property
     def truss_number(self) -> dict[Edge, int]:
@@ -81,23 +100,38 @@ class TrussDecomposition:
 
 
 def truss_decomposition(
-    g: LocalGraph, support: dict[Edge, int] | None = None
+    g: LocalGraph, *, k: int = 0, tri: np.ndarray | None = None
 ) -> TrussDecomposition:
-    """Bucket-queue truss peel over edge ids.
+    """π_τ of the k-truss of ``g`` (of all of ``g`` for k ≤ 2): the cut,
+    then the bucket-queue truss peel over the survivors.
 
-    Repeatedly removes a minimum-support edge; when (u, v) goes, the
-    support of (u, w) and (v, w) drops for every remaining common
-    neighbor w. Each edge's support-at-removal goes to ``sizes``; its
-    running max yields the truss numbers and τ. ``support`` (edge →
-    triangle count) fixes the edge ids: id i is its i-th key.
+    The peel repeatedly removes a minimum-support edge; when (u, v)
+    goes, the support of (u, w) and (v, w) drops for every remaining
+    common neighbor w. Each edge's support-at-removal goes to ``sizes``;
+    its running max yields the truss numbers and τ. ``tri`` holds the
+    triangles as edge-id triples (`triangles.triangle_edge_ids`, which
+    lists them when it is not given).
     """
-    if support is None:
-        support = local_edge_support(g)
-    ends = list(support)
-    sup = list(support.values())
-    nr: dict[int, dict[int, int]] = {v: {} for v in g.adj}
+    if tri is None:
+        tri = triangle_edge_ids(g)
+    # The cut: drop every edge on fewer than k − 2 live triangles, round
+    # after round, until none is dropped.
+    alive = np.ones(g.m, dtype=bool)
+    sup = np.bincount(tri.ravel(), minlength=g.m)
+    while k > 2 and (drop := alive & (sup < k - 2)).any():
+        alive &= ~drop
+        tri = tri[alive[tri].all(axis=1)]
+        sup = np.bincount(tri.ravel(), minlength=g.m)
+    del tri  # the peel needs only the counts: free the triangles first
+    # Peel ids are positions in ``keep``, the surviving edge ids.
+    keep = np.flatnonzero(alive)
+    sup = sup[keep].tolist()
+    ends = list(zip(g.us[keep].tolist(), g.vs[keep].tolist()))
+    # The remaining graph: nr[u][w] is the id of edge {u, w} until it goes.
+    nr: dict[int, dict[int, int]] = {}
     for i, (u, v) in enumerate(ends):
-        nr[u][v] = nr[v][u] = i
+        nr.setdefault(u, {})[v] = i
+        nr.setdefault(v, {})[u] = i
     # An edge is appended to the bucket of every support value it takes;
     # entries whose value is no longer current are skipped when popped.
     buckets: list[list[int]] = [[] for _ in range(max(sup, default=0) + 1)]
@@ -122,32 +156,31 @@ def truss_decomposition(
         # The peel's hot loop, unrolled over the two edges (u, w), (v, w).
         for w in nu.keys() & nv.keys():
             f = nu[w]
-            sup[f] -= 1
-            buckets[sup[f]].append(f)
+            s = sup[f] - 1
+            sup[f] = s
+            buckets[s].append(f)
             f = nv[w]
-            sup[f] -= 1
-            buckets[sup[f]].append(f)
+            s = sup[f] - 1
+            sup[f] = s
+            buckets[s].append(f)
         if d:
             d -= 1
-    for p, (u, v) in enumerate(order):
-        nr[u][v] = nr[v][u] = p
-    return TrussDecomposition(order=order, nbr_rank=nr, sizes=sizes)
+    return TrussDecomposition(order=order, sizes=sizes)
 
 
 def truss_decomposition_from_spark(
-    edges: DataFrame, g: LocalGraph | None = None
+    edges: DataFrame, g: LocalGraph | None = None, *, k: int = 0
 ) -> TrussDecomposition:
-    """Distributed supports (DataFrame triangle joins) + driver peel.
+    """:func:`truss_decomposition` fed by the distributed triangle
+    dataflow: the rows of `triangles.triangles_df`, collected and mapped
+    to edge ids, take the place of the numpy listing.
 
     ``g`` is ``edges`` already collected; passing it skips the collect
     and orients the triangle joins by its degeneracy rank."""
     if g is None:
         g = collect_local(edges)
-    sup_pdf = edge_support_df(edges, core_decomposition(g).rank).toPandas()
-    support = {
-        (int(r.u), int(r.v)): int(r.support) for r in sup_pdf.itertuples()
-    }
-    return truss_decomposition(g, support)
+    pdf = triangles_df(edges, core_decomposition(g).rank).toPandas()
+    return truss_decomposition(g, k=k, tri=edge_ids(g, pdf["a"], pdf["b"], pdf["c"]))
 
 
 def tau(g: LocalGraph) -> int:

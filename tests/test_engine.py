@@ -186,55 +186,59 @@ def test_truss_kernels_match_brute_force(algo, et_t):
 
 def test_truss_broadcast_ships_only_the_rank_map(spark, graph, edges, monkeypatch):
     """A truss-ordered call ships no adjacency and, of the rank map, only
-    the k-truss part: ranks from p0, the first edge whose initial branch
-    can hold a k-clique, on. The units are those edges (|g_i| ≥ k − 2),
-    and the shipped map holds every edge of every k-clique."""
+    the k-truss part, which `prepare` peels. The units are the edges
+    whose initial branch can hold a k-clique (|g_i| ≥ k − 2), and the
+    shipped map holds every edge of every k-clique."""
     sc = spark.sparkContext
     sent = []
     broadcast = sc.broadcast
     monkeypatch.setattr(sc, "broadcast", lambda v: sent.append(v) or broadcast(v))
-    td = truss_decomposition(collect_local(edges))
+    g = collect_local(edges)
     for k in (3, 4, 5):
+        td = truss_decomposition(g, k=k)
         exp = brute_force_kcliques(graph, k)
         assert count_kcliques(spark, edges, k, "ebbkc-t") == len(exp)
         payload = sent.pop()
         assert "adj" not in payload and "order" not in payload
         assert payload["prep"].keys() == {"kind", "nbr_rank"}
         assert payload["units"] == [e for e, s in zip(td.order, td.sizes) if s >= k - 2]
-        p0 = next(i for i, s in enumerate(td.sizes) if s >= k - 2)
+        # the cut peel starts at a unit, so the map holds no rank before it
+        assert payload["units"][0] == td.order[0]
         nr = payload["prep"]["nbr_rank"]
-        assert all(r >= p0 for nb in nr.values() for r in nb.values())
+        assert nr == td.nbr_rank
         for c in exp:
             for u, w in combinations(c, 2):
                 assert nr[u][w] == td.nbr_rank[u][w]
-    assert p0 > 0  # at k = 5 the k-truss is a proper part of the graph
+    # at k = 5 the k-truss is a proper part of the graph
+    assert sum(map(len, nr.values())) // 2 < g.m
 
 
 def test_sweep_broadcast_ships_only_the_order_suffix(spark, graph, edges, monkeypatch):
-    """An EBBkC-H call ships no adjacency and no rank map, only the
-    k-truss part of π_τ, order[p0:], with p0 the first unit. The units
-    are the positions with |g_i| ≥ k − 2, and the shipped suffix holds
-    every edge of every k-clique."""
+    """An EBBkC-H call ships no adjacency and no rank map, only π_τ of
+    the k-truss, which `prepare` peels. The units are the positions with
+    |g_i| ≥ k − 2, and the shipped order holds every edge of every
+    k-clique."""
     sc = spark.sparkContext
     sent = []
     broadcast = sc.broadcast
     monkeypatch.setattr(sc, "broadcast", lambda v: sent.append(v) or broadcast(v))
-    td = truss_decomposition(collect_local(edges))
+    g = collect_local(edges)
     for k in (3, 4, 5):
+        td = truss_decomposition(g, k=k)
         exp = brute_force_kcliques(graph, k)
         assert count_kcliques(spark, edges, k, "ebbkc-h") == len(exp)
         payload = sent.pop()
         assert "adj" not in payload
-        assert payload["prep"].keys() == {"kind", "order", "p0"}
+        assert payload["prep"].keys() == {"kind", "order"}
         units = [i for i, s in enumerate(td.sizes) if s >= k - 2]
         assert payload["units"] == units
-        p0 = payload["prep"]["p0"]
-        assert p0 == units[0]
-        assert payload["prep"]["order"] == td.order[p0:]
+        assert units[0] == 0  # the cut peel starts at a unit
+        assert payload["prep"]["order"] == td.order
         shipped = set(payload["prep"]["order"])
         for c in exp:
             assert set(combinations(c, 2)) <= shipped
-    assert p0 > 0  # at k = 5 the k-truss is a proper part of the graph
+    # at k = 5 the k-truss is a proper part of the graph
+    assert len(payload["prep"]["order"]) < g.m
 
 
 def test_ebbkc_h_early_terminates_at_l_2(graph, monkeypatch):
@@ -304,7 +308,7 @@ def test_truss_units_at_k_max(spark, algo):
     g = G.planted_cliques(24, 0.1, [6], seed=3)
     k_max = truss_decomposition(g).k_max
     assert len(brute_force_kcliques(g, k_max)) == 1
-    assert _units(algo, "ep", prepare(g, algo), k_max + 1) == []
+    assert _units(algo, "ep", prepare(g, algo, k_max + 1), k_max + 1) == []
     df = to_spark(spark, g)
     for k in (k_max, k_max + 1):
         exp = brute_force_kcliques(g, k)
@@ -376,7 +380,7 @@ def test_count_mode_matches_listing(algo, scheme, g, k, et_t):
     early termination) counts exactly what a listing sink lists, and
     both match brute force."""
     exp = brute_force_kcliques(g, k)
-    prep = prepare(g, algo)
+    prep = prepare(g, algo, k)
     units = _units(algo, scheme, prep, k)
     opts = {"et_t": et_t, "rule2": algo in ("ebbkc-c", "ebbkc-h")}
     listed: list[tuple[int, ...]] = []

@@ -1,14 +1,14 @@
 """Truss decomposition, τ and the truss-based edge ordering (Section 4.2)."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from repro.core.ebbkc import _initial_branch
+from repro.core.ebbkc import _initial_branch, _sweep
 from repro.graph import generators as G
 from repro.graph.core import degeneracy
 from repro.graph.loader import to_spark
 from repro.graph.truss import tau, truss_decomposition, truss_decomposition_from_spark
 
-from .test_properties import graphs
+from .test_properties import graphs, near_complete_graphs
 
 
 def test_complete_graph_truss():
@@ -112,6 +112,42 @@ def test_truss_numbers_monotone_in_removal_order():
     assert values == sorted(values)
 
 
+@given(st.one_of(graphs(max_n=16), near_complete_graphs(max_n=12)),
+       st.integers(min_value=0, max_value=7))
+@settings(max_examples=120, deadline=None)
+def test_cut_peels_exactly_the_k_truss(g, k):
+    """``truss_decomposition(g, k=k)`` peels the k-truss: its edges are
+    those of truss number ≥ k in the whole-graph peel, ``sizes[i]`` is
+    |g_i| as the sweep slices it, and every removal takes an edge of
+    minimum support among the k-truss edges still there (Eq. 4)."""
+    td = truss_decomposition(g, k=k)
+    whole = truss_decomposition(g).truss_number
+    assert set(td.order) == {e for e, t in whole.items() if t >= k}
+    assert len(td.order) == len(set(td.order))
+    positions = list(range(len(td.order)))
+    for i, (rem, u, v) in zip(positions, _sweep(td.order, positions)):
+        assert td.sizes[i] == len(rem[u] & rem[v])
+    adj: dict[int, set[int]] = {}
+    for u, v in td.order:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    for i, (u, v) in enumerate(td.order):
+        rest = td.order[i:]
+        assert len(adj[u] & adj[v]) == min(len(adj[a] & adj[b]) for a, b in rest)
+        adj[u].discard(v)
+        adj[v].discard(u)
+
+
+def test_cut_above_k_max_is_empty():
+    """Above k_max no edge is in the k-truss: nothing is peeled."""
+    g = G.planted_cliques(60, 0.05, [8], seed=3)
+    td = truss_decomposition(g)
+    assert td.k_max == 8
+    assert len(truss_decomposition(g, k=8).order) > 0
+    cut = truss_decomposition(g, k=9)
+    assert cut.order == [] and cut.sizes == [] and cut.nbr_rank == {}
+
+
 def test_tau_from_spark_matches_local(spark):
     g = G.erdos_renyi(35, 0.3, seed=6)
     td_spark = truss_decomposition_from_spark(to_spark(spark, g))
@@ -123,3 +159,15 @@ def test_tau_from_spark_matches_local(spark):
 def test_planted_clique_tau():
     g = G.planted_cliques(100, 0.01, [12], seed=7)
     assert tau(g) == 10  # clique of size c gives tau = c - 2
+
+
+@pytest.mark.parametrize("k", [0, 3, 4, 5, 6])
+def test_spark_fed_peel_equals_local(spark, k):
+    """The triangles of the distributed dataflow, mapped to edge ids, give
+    the same cut and the same peel as the numpy listing: exactly the
+    local ``order`` and ``sizes``."""
+    g = G.planted_cliques(80, 0.08, [7], seed=5)
+    td_spark = truss_decomposition_from_spark(to_spark(spark, g), g, k=k)
+    td_local = truss_decomposition(g, k=k)
+    assert td_spark.order == td_local.order
+    assert td_spark.sizes == td_local.sizes

@@ -111,7 +111,7 @@ def test_degen_units_recurse_over_the_global_dag(monkeypatch, scheme):
     degeneracy DAG restricted to its candidates, never a local ordering,
     so the NP units together are the whole-graph recursion."""
     g = G.barabasi_albert(120, 6, seed=3)
-    prep = prepare(g, "degen")
+    prep = prepare(g, "degen", 5)
     glob = {v: set(nb) for v, nb in prep["dag_out"].items()}
     rec = vbbkc._rec_v
     calls = []
