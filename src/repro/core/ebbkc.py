@@ -20,7 +20,9 @@ branches and runs them:
   the initial branches as one sweep along π_τ: it keeps the adjacency
   ``rem`` of G minus e_1..e_i, deleting each edge as the sweep passes
   it, so g_i is the plain set intersection ``rem[u] & rem[v]`` and no
-  rank is read. :func:`ebbkc_h_top_branch` processes one branch.
+  rank is read. :func:`ebbkc_h_top_branch` processes one branch; a
+  branch is re-colored only when it is branched on (l ≥ 3), so at
+  k ≤ 4 EBBkC-H never re-colors.
 
 Every kernel takes an ``out`` sink receiving each k-clique as a tuple of
 distinct vertices (listing semantics — output cost is part of the
@@ -39,7 +41,7 @@ from typing import Iterator
 from repro.graph.coloring import subgraph_color_ordering
 from repro.graph.truss import Edge
 
-from .etplex import Out, try_early_terminate
+from .etplex import Out, list_edges, try_early_terminate
 
 NbrRank = dict[int, dict[int, int]]
 
@@ -245,7 +247,9 @@ def ebbkc_h_top_branch(
     e_i = (u, v) in π_τ), re-color it, and run the color recursion
     inside. Early termination reads ``rem`` itself (its rows are
     supersets of the branch's), so g_i's adjacency is only built for a
-    branch that ET does not consume."""
+    branch that ET does not consume. At l = 2 there is nothing to
+    branch on: a branch ET declines lists its edges from ``rem``, with
+    no re-coloring (Algorithm 2's l = 2 exit)."""
     verts = rem[u] & rem[v]
     l = k - 2
     if len(verts) < l:
@@ -255,6 +259,9 @@ def ebbkc_h_top_branch(
             out((u, v, w))
         return
     if try_early_terminate((u, v), verts, rem, l, et_t, out):
+        return
+    if l == 2:
+        list_edges((u, v), verts, rem, out)
         return
     adj2 = {w: rem[w] & verts for w in verts}
     co = subgraph_color_ordering(adj2)

@@ -3,7 +3,10 @@
 * :func:`list_cliques_2plex` — kC2Plex (Algorithm 6): when the branch
   graph is a clique or 2-plex, partition its vertices into F / L / R
   (each inducing a clique; L[i]–R[i] are the non-adjacent pairs) and
-  enumerate l-cliques combinatorially — nearly output-optimal.
+  enumerate l-cliques combinatorially — nearly output-optimal. At
+  l ≤ 2 there is nothing to combine: it lists the branch's vertices, or
+  its edges with :func:`list_edges`, which probes each vertex pair once
+  and also serves EBBkC-H's l = 2 branches that ET declines.
 * :func:`list_cliques_tplex` — kCtPlex (Algorithm 7): when the branch
   graph is a t-plex (t ≥ 3), branch on the sparse *inverse* graph,
   with the all-adjacent vertex set I completed combinatorially.
@@ -50,6 +53,17 @@ class CliqueCount:
         self.n += 1
 
 
+def list_edges(
+    s: tuple[int, ...], verts: set[int], adj: dict[int, set[int]], out: Out
+) -> None:
+    """Emit S ∪ {w, x} for every edge {w, x} of the graph (verts, adj),
+    once: each vertex pair of ``verts`` is probed once, so the rows of
+    ``adj`` may be supersets of the graph's."""
+    for w, x in combinations(verts, 2):
+        if x in adj[w]:
+            out(s + (w, x))
+
+
 def list_cliques_2plex(
     s: tuple[int, ...],
     verts: set[int],
@@ -61,15 +75,12 @@ def list_cliques_2plex(
 
     ``adj`` is the *branch* adjacency (already restricted; values may be
     supersets — they are intersected with ``verts``). At l ≤ 2 the
-    l-cliques are the vertices or the edges, listed directly; the F / L / R
-    partition would give the same.
+    l-cliques are the vertices or the edges, listed directly (the edges
+    by :func:`list_edges`); the F / L / R partition would give the same.
     """
     if l <= 2:
         if l == 2:
-            for w in verts:
-                for x in adj[w] & verts:
-                    if w < x:
-                        out(s + (w, x))
+            list_edges(s, verts, adj, out)
         elif l == 1:
             for w in verts:
                 out(s + (w,))

@@ -14,7 +14,7 @@ the wedges of out-neighbour pairs:
   :func:`triangles_df` to the same ids.
 
 Per-edge *support* (the number of triangles on an edge) is a count over
-either listing.
+the edge-id triples: :func:`local_edge_support`.
 """
 from __future__ import annotations
 
@@ -48,27 +48,6 @@ def triangles_df(edges: DataFrame, rank: dict[int, int] | None = None) -> DataFr
 def triangle_count(edges: DataFrame) -> int:
     """Number of triangles in the graph."""
     return triangles_df(edges).count()
-
-
-def edge_support_df(edges: DataFrame, rank: dict[int, int] | None = None) -> DataFrame:
-    """Per-edge triangle support → (u, v, support), canonical u < v.
-
-    Edges in no triangle appear with support 0 (left join against the
-    edge table), so the truss peel sees every edge.
-    """
-    tri = triangles_df(edges, rank)
-    sides = (
-        tri.select(F.col("a").alias("x"), F.col("b").alias("y"))
-        .unionAll(tri.select(F.col("a").alias("x"), F.col("c").alias("y")))
-        .unionAll(tri.select(F.col("b").alias("x"), F.col("c").alias("y")))
-    )
-    per_edge = sides.select(
-        F.least("x", "y").alias("u"), F.greatest("x", "y").alias("v")
-    ).groupBy("u", "v").agg(F.count("*").cast("long").alias("support"))
-    return (
-        edges.join(per_edge, ["u", "v"], "left")
-        .select("u", "v", F.coalesce("support", F.lit(0)).cast("long").alias("support"))
-    )
 
 
 _WEDGES = 1 << 14
@@ -149,11 +128,8 @@ def edge_ids(g: LocalGraph, a, b, c) -> np.ndarray:
 
 
 def local_edge_support(g: LocalGraph) -> dict[tuple[int, int], int]:
-    """Driver-side per-edge support: how many of :func:`triangle_edge_ids`'s
-    triangles hold each edge.
-
-    Same result as :func:`edge_support_df`; tests use the two as
-    second implementations of each other.
-    """
+    """Per-edge support: how many of :func:`triangle_edge_ids`'s
+    triangles hold each edge, keyed by the edge's (u, v), u < v; edges
+    in no triangle have support 0."""
     sup = np.bincount(triangle_edge_ids(g).ravel(), minlength=g.m)
     return dict(zip(zip(g.us.tolist(), g.vs.tolist()), sup.tolist()))

@@ -258,6 +258,39 @@ def test_ebbkc_h_early_terminates_at_l_2(graph, monkeypatch):
     assert ls and set(ls) == {2}
 
 
+def test_ebbkc_h_lists_l_2_branches_without_recolouring(graph, monkeypatch):
+    """At k = 4 (l = 2) EBBkC-H re-colours no branch, with or without ET,
+    and still lists exactly the k-cliques; at k = 5 it does re-colour,
+    which shows the spy sees the calls."""
+    from repro.core import ebbkc
+
+    calls = []
+    orig = ebbkc.subgraph_color_ordering
+
+    def spy(adj):
+        calls.append(len(adj))
+        return orig(adj)
+
+    monkeypatch.setattr(ebbkc, "subgraph_color_ordering", spy)
+    for et_t in (0, 2):
+        check_cliques(graph, 4, run_local(graph, 4, "ebbkc-h", et_t=et_t, collect=True))
+        assert calls == []
+    assert run_local(graph, 5, "ebbkc-h") == brute_force_count(graph, 5)
+    assert calls
+
+
+@given(
+    g=st.one_of(graphs(), near_complete_graphs()),
+    et_t=st.integers(min_value=0, max_value=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_ebbkc_h_k4_matches_brute_force(g, et_t):
+    """EBBkC-H at k = 4, where every initial branch has l = 2 and either
+    ET or the pair listing ends it: count and listing are brute force's."""
+    check_cliques(g, 4, run_local(g, 4, "ebbkc-h", et_t=et_t, collect=True))
+    assert run_local(g, 4, "ebbkc-h", et_t=et_t) == brute_force_count(g, 4)
+
+
 # (algo, scheme): EP for every algorithm here, NP for the VBBkC ones.
 FANOUTS = [(a, "ep") for a in ("ebbkc-t", "ebbkc-c", "ebbkc-h", "ddegcol", "bitcol")] + [
     (a, "np") for a in ("ddegcol", "bitcol")

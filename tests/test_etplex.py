@@ -1,5 +1,7 @@
 """Early-termination procedures kC2Plex / kCtPlex vs brute force, and
 their closed-form counts vs the listing."""
+import random
+
 import pytest
 
 from repro.core.bruteforce import brute_force_in_subset
@@ -10,11 +12,12 @@ from repro.core.etplex import (
     default_t_threshold,
     list_cliques_2plex,
     list_cliques_tplex,
+    list_edges,
     try_early_terminate,
 )
 from repro.graph import generators as G
 from repro.graph.loader import LocalGraph
-from repro.graph.plex import partition_2plex
+from repro.graph.plex import partition_2plex, plexity
 
 
 def _norm(cliques):
@@ -50,6 +53,26 @@ def test_kc2plex_lists_vertices_and_edges_directly(seed):
         list_cliques_2plex(s, verts, g.adj, l, got.append)
         assert all(c[:2] == s for c in got)
         assert _norm(c[2:] for c in got) == _norm(brute_force_in_subset(g, verts, l))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_list_edges_lists_each_edge_once(seed):
+    """The pair listing on a graph that is not a 2-plex, whose rows are
+    supersets of the branch (they reach vertices outside ``verts``):
+    every edge inside ``verts`` once, merged with S."""
+    base = G.erdos_renyi(16, 0.4, seed=seed)
+    # Scattered ids, so that no set iterates in ascending order.
+    ids = random.Random(seed).sample(range(10**6), 16)
+    g = LocalGraph.from_pairs([(ids[a], ids[b]) for a in base.adj for b in base.adj[a]])
+    verts = set(g.adj) - set(ids[:3])
+    assert plexity(verts, g.adj) > 2
+    s = (100, 101)
+    got = []
+    list_edges(s, verts, g.adj, got.append)
+    assert all(c[:2] == s and len(c) == 4 for c in got)
+    edges = _norm(c[2:] for c in got)
+    assert len(edges) == len(set(edges))
+    assert edges == _norm(brute_force_in_subset(g, verts, 2))
 
 
 def test_kc2plex_on_pure_clique():

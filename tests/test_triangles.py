@@ -4,7 +4,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from pyspark.sql import functions as F
 
 from repro.graph import generators as G
 from repro.graph.core import core_decomposition
@@ -12,7 +11,6 @@ from repro.graph import triangles as triangles_mod
 from repro.graph.loader import LocalGraph, to_spark
 from repro.graph.triangles import (
     edge_ids,
-    edge_support_df,
     local_edge_support,
     triangle_count,
     triangle_edge_ids,
@@ -75,20 +73,6 @@ def test_triangles_df_oracle(spark):
         "JOIN dag e3 ON e3.src = e1.dst AND e3.dst = e2.dst"
     )
     assert_equivalent(tri, sql, dag=dag)
-
-
-def test_edge_support_matches_local(spark):
-    g = G.erdos_renyi(30, 0.35, seed=5)
-    pdf = edge_support_df(to_spark(spark, g)).toPandas()
-    got = {(int(r.u), int(r.v)): int(r.support) for r in pdf.itertuples()}
-    assert got == local_edge_support(g)
-
-
-def test_edge_support_includes_zero_support_edges(spark):
-    g = G.cycle_graph(8)  # triangle-free
-    df = edge_support_df(to_spark(spark, g))
-    assert df.count() == g.m
-    assert df.agg(F.max("support")).collect()[0][0] == 0
 
 
 def test_local_edge_support_complete():
