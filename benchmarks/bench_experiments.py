@@ -2,18 +2,21 @@
 
 Each cell runs once (``pedantic(rounds=1)``): the kernels are
 deterministic and the matrices are large, so repeated rounds would
-multiply wall-clock for no variance benefit. A cell's id names its
-experiment, dataset, k, algorithm label and (Spark cells) task count,
-so ``bench_output.txt`` reads like the paper's tables;
+multiply wall-clock for no variance benefit. The ingest cells, which
+take tens of milliseconds, run ``INGEST_ROUNDS`` rounds. A cell's id
+names its experiment, dataset, k, algorithm label and (Spark cells)
+task count, so ``bench_output.txt`` reads like the paper's tables;
 ``python -m repro.experiments`` prints the full sweeps.
 """
+import numpy as np
 import pytest
 
 from repro.core.engine import count_kcliques, run_local
 from repro.experiments import graph_info, policy_t
+from repro.graph import generators as G
 from repro.graph.core import core_decomposition
-from repro.graph.datasets import DEFAULT_DATASETS, SCALABILITY
-from repro.graph.loader import to_spark
+from repro.graph.datasets import DATASETS, DEFAULT_DATASETS, SCALABILITY
+from repro.graph.loader import LocalGraph, to_spark
 from repro.graph.stats import compute_stats
 from repro.graph.truss import truss_decomposition
 
@@ -153,3 +156,25 @@ def test_degeneracy_ordering(benchmark, name):
     g = graph_info(name)["g"]
     dec = benchmark.pedantic(lambda: core_decomposition(g), rounds=1, iterations=1)
     assert len(dec.order) == g.n
+
+
+INGEST_ROUNDS = 5
+
+
+def _sparse_k4() -> LocalGraph:
+    """The sparse-k4 benchmark graph as the benchmark builds it: generate,
+    then relabel the vertices at random and build the copy from pairs."""
+    g = G.chung_lu(3000, 2.2, 8, seed=7)
+    label = dict(zip(g.vertices, np.random.default_rng(7).permutation(4 * g.n)[: g.n].tolist()))
+    return LocalGraph.from_pairs((label[u], label[v]) for u, v in g.edge_list())
+
+
+INGEST = {"sparse-k4": _sparse_k4, "wp": DATASETS["wp"].build}
+
+
+@pytest.mark.parametrize("name", sorted(INGEST))
+def test_ingest(benchmark, name):
+    """Layer (a), edge ingest: generating a graph and building its
+    `LocalGraph` (the registry's cache is bypassed)."""
+    g = benchmark.pedantic(INGEST[name], rounds=INGEST_ROUNDS, iterations=1)
+    assert g.m > 0

@@ -20,9 +20,12 @@ steps fused) or per *vertex* (NP). The engine:
    the units are the initial branches with |g_i| ≥ k − 2 vertices (the
    truss peel records |g_i|), in π_τ order: EBBkC-H's are their
    positions in π_τ, EBBkC-T's their edges; no other branch can hold a
-   k-clique. Task ``i`` of ``n_tasks`` takes the stripe
-   ``units[i::n_tasks]`` in `_units` order (no cost model; an EBBkC-H
-   stripe stays ascending, so each task sweeps its own), and
+   k-clique. VBBkC's are the degeneracy-DAG vertices with ≥ k − 1
+   out-neighbors (NP) or the arcs whose ends share ≥ k − 2
+   out-neighbors (EP), by the same argument. Task ``i`` of ``n_tasks``
+   takes the stripe ``units[i::n_tasks]`` in `_units` order (no cost
+   model; an EBBkC-H stripe stays ascending, so each task sweeps its
+   own), and
    ``spark.range(n_tasks)`` with one row per partition drives the
    ``mapInPandas`` job, so there is no exchange,
 4. runs the pure-Python kernels in that single-stage job; a count call
@@ -91,8 +94,10 @@ def prepare(g: LocalGraph, algo: str, k: int, *, edges_df: DataFrame | None = No
 
 def _units(algo: str, scheme: str, prep, k: int) -> list:
     """Top-branch units: (a, b) pairs, where NP units use b = -1, except
-    for EBBkC-H, whose units are positions in π_τ. EBBkC-T/H units are
-    the initial branches that can hold a k-clique."""
+    for EBBkC-H, whose units are positions in π_τ. EBBkC-T/H and VBBkC
+    units are the initial branches that can hold a k-clique: for VBBkC,
+    an NP unit v needs |N⁺(v)| ≥ k − 1 and an EP unit u→v needs
+    |N⁺(u) ∩ N⁺(v)| ≥ k − 2 in the degeneracy DAG."""
     if algo == "ebbkc-h":
         return _e.initial_branches(prep["sizes"], k)
     if algo == "ebbkc-t":
@@ -107,10 +112,15 @@ def _units(algo: str, scheme: str, prep, k: int) -> list:
         ]
         units.sort(key=lambda e: (vid[e[0]], vid[e[1]]))
         return units
-    if scheme == "np":
-        return [(v, -1) for v in prep["order"]]
     dag_out = prep["dag_out"]
-    return [(u, v) for u in prep["order"] for v in dag_out[u]]
+    if scheme == "np":
+        return [(v, -1) for v in prep["order"] if len(dag_out[v]) >= k - 1]
+    return [
+        (u, v)
+        for u in prep["order"]
+        for v in dag_out[u]
+        if len(dag_out[u] & dag_out[v]) >= k - 2
+    ]
 
 
 def _run_units(

@@ -40,12 +40,16 @@ def star_graph(n_leaves: int) -> LocalGraph:
     return LocalGraph.from_pairs((0, i) for i in range(1, n_leaves + 1))
 
 
-def erdos_renyi(n: int, p: float, seed: int = 0) -> LocalGraph:
-    """G(n, p) via a Bernoulli draw over the upper triangle (n must be small)."""
+def _erdos_renyi_pairs(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     g = _rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     mask = g.random(len(iu)) < p
-    return LocalGraph.from_pairs(zip(iu[mask].tolist(), ju[mask].tolist()))
+    return iu[mask], ju[mask]
+
+
+def erdos_renyi(n: int, p: float, seed: int = 0) -> LocalGraph:
+    """G(n, p) via a Bernoulli draw over the upper triangle (n must be small)."""
+    return LocalGraph.from_arrays(*_erdos_renyi_pairs(n, p, seed))
 
 
 def barabasi_albert(n: int, m_attach: int, seed: int = 0) -> LocalGraph:
@@ -85,29 +89,30 @@ def chung_lu(n: int, gamma: float = 2.5, avg_deg: float = 8.0, seed: int = 0) ->
     total = w.sum()
     p_vertex = w / total
     m_target = int(avg_deg * n / 2)
-    # Sample 3x target endpoint pairs by weight, keep those passing the
-    # acceptance test; collisions dedupe in LocalGraph.
+    # Sample 3x target endpoint pairs by weight; self-loops and
+    # collisions drop out in LocalGraph.
     n_try = m_target * 3
     a = g.choice(n, size=n_try, p=p_vertex)
     b = g.choice(n, size=n_try, p=p_vertex)
+    return LocalGraph.from_arrays(a, b)
+
+
+def _gnm_pairs(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    g = _rng(seed)
+    a = g.integers(0, n, size=int(m * 1.3) + 16)
+    b = g.integers(0, n, size=int(m * 1.3) + 16)
     keep = a != b
-    a, b = a[keep], b[keep]
-    return LocalGraph.from_pairs(zip(a.tolist(), b.tolist()))
+    lo, hi = np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep])
+    # The first m distinct pairs, in draw order.
+    first = np.sort(np.unique(lo * n + hi, return_index=True)[1])[:m]
+    return lo[first], hi[first]
 
 
 def gnm_random(n: int, m: int, seed: int = 0) -> LocalGraph:
     """G(n, m)-style sparse random graph: sample ~m distinct edges
     directly (no O(n²) pair materialization — used for the larger
     scalability graphs)."""
-    g = _rng(seed)
-    a = g.integers(0, n, size=int(m * 1.3) + 16)
-    b = g.integers(0, n, size=int(m * 1.3) + 16)
-    keep = a != b
-    pairs = list(dict.fromkeys(
-        (min(int(x), int(y)), max(int(x), int(y)))
-        for x, y in zip(a[keep], b[keep])
-    ))[:m]
-    return LocalGraph.from_pairs(pairs)
+    return LocalGraph.from_arrays(*_gnm_pairs(n, m, seed))
 
 
 def planted_cliques(
@@ -125,10 +130,10 @@ def planted_cliques(
     if n > 2500:
         # Avoid the O(n²) pair materialization for larger graphs.
         m_bg = int(p_background * n * (n - 1) / 2)
-        base = gnm_random(n, m_bg, seed=seed)
+        a, b = _gnm_pairs(n, m_bg, seed)
     else:
-        base = erdos_renyi(n, p_background, seed=seed)
-    pairs = base.edge_list()
+        a, b = _erdos_renyi_pairs(n, p_background, seed)
+    us, vs = [a], [b]
     perm = g.permutation(n)
     pos = 0
     for size in clique_sizes:
@@ -136,10 +141,10 @@ def planted_cliques(
         pos += size
         if len(members) < size:
             raise ValueError("not enough vertices for planted cliques")
-        for i in range(size):
-            for j in range(i + 1, size):
-                pairs.append((int(members[i]), int(members[j])))
-    return LocalGraph.from_pairs(pairs)
+        iu, ju = np.triu_indices(size, k=1)
+        us.append(members[iu])
+        vs.append(members[ju])
+    return LocalGraph.from_arrays(np.concatenate(us), np.concatenate(vs))
 
 
 def ring_of_cliques(n_cliques: int, clique_size: int, extra_p: float = 0.0, seed: int = 0) -> LocalGraph:

@@ -6,14 +6,16 @@ the directions, weights and self-loops (if any) at the very beginning"
 DataFrame, producing a canonical edge table with ``u < v`` and no
 duplicates. All downstream modules consume this canonical form.
 
-Two in-memory representations back the Python kernels:
-
-* :class:`LocalGraph` — adjacency sets + numpy edge arrays, built once
-  per graph on the driver and broadcast to tasks by the engine.
+On the driver, :class:`LocalGraph` (adjacency sets + numpy edge arrays)
+backs the Python kernels; the engine broadcasts it to tasks. Every
+``LocalGraph`` is built once, by the numpy constructor
+:meth:`LocalGraph.from_arrays`, which normalizes exactly as
+``normalize_edges`` does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import pandas as pd
@@ -84,7 +86,7 @@ class LocalGraph:
         return sorted(self.adj)
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return [(int(u), int(v)) for u, v in zip(self.us, self.vs)]
+        return list(zip(self.us.tolist(), self.vs.tolist()))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -93,22 +95,81 @@ class LocalGraph:
         return v in self.adj.get(u, ())
 
     @classmethod
-    def from_pairs(cls, pairs) -> "LocalGraph":
-        """Build from an iterable of (u, v); normalizes like the Spark path."""
-        seen: set[tuple[int, int]] = set()
-        for a, b in pairs:
-            a, b = int(a), int(b)
-            if a == b:
-                continue
-            seen.add((min(a, b), max(a, b)))
-        es = sorted(seen)
-        us = np.array([e[0] for e in es], dtype=np.int64)
-        vs = np.array([e[1] for e in es], dtype=np.int64)
-        adj: dict[int, set[int]] = {}
-        for a, b in es:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
+    def from_arrays(cls, a, b) -> "LocalGraph":
+        """Build from aligned endpoint arrays; normalizes like the Spark
+        path, all in numpy. The edges come out sorted by (u, v),
+        ``adj`` lists the vertices in order of first appearance over
+        those edges (u, then v) and fills each neighbor set in ascending
+        order, so set layouts, and with them every peel tie-break and
+        kernel iteration order, depend only on the edge set."""
+        a, b = _ids(a), _ids(b)
+        if a.ndim != 1 or a.shape != b.shape:
+            raise ValueError("endpoint arrays must be 1-d and of equal length")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        first = np.ones(len(lo), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        us, vs = lo[first], hi[first]
+        # The edges' endpoints interleaved (u0, v0, u1, v1, ...); the
+        # neighbor of slot j is slot j ^ 1. A stable sort groups each
+        # vertex's slots in edge order: first its edges (w, v), w
+        # ascending, then its edges (v, w), w ascending, i.e. ascending
+        # neighbors (the CSR), with its first appearance at the front.
+        ends = np.empty(2 * len(us), dtype=np.int64)
+        ends[0::2], ends[1::2] = us, vs
+        slot = np.argsort(ends, kind="stable")
+        head = np.ones(len(slot), dtype=bool)
+        head[1:] = ends[slot[1:]] != ends[slot[:-1]]
+        start = np.flatnonzero(head)
+        stop = np.append(start[1:], len(slot))
+        vertex = np.empty_like(slot)  # slot -> index of its vertex in ``ids``
+        vertex[slot] = np.cumsum(head) - 1
+        # One int object per vertex, shared by its key and every set that
+        # holds it: set probes then match by identity before comparing
+        # values, and the graph holds n id objects rather than 2m.
+        ids = np.array(ends[slot[start]].tolist(), dtype=object)
+        nbrs = ids[vertex[slot ^ 1]].tolist()
+        seen = np.argsort(slot[start])  # vertices by first appearance
+        adj = {
+            v: set(nbrs[i:j])
+            for v, i, j in zip(ids[seen].tolist(), start[seen].tolist(), stop[seen].tolist())
+        }
         return cls(us=us, vs=vs, adj=adj)
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "LocalGraph":
+        """Build from an iterable of (u, v) items (see `from_arrays`).
+        An item that is not a pair, or an id that Spark's ``long``
+        cannot hold, raises ValueError."""
+        pairs = list(pairs)
+        try:
+            lengths = set(map(len, pairs))
+        except TypeError as e:
+            raise ValueError("every item must be a (u, v) pair") from e
+        if lengths - {2}:
+            raise ValueError(f"every item must be a (u, v) pair, got lengths {sorted(lengths)}")
+        try:
+            flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+        except OverflowError as e:
+            raise ValueError(_ID_RANGE) from e
+        return cls.from_arrays(flat[0::2], flat[1::2])
+
+
+_ID_RANGE = "vertex ids must fit in a signed 64-bit integer (Spark's long)"
+
+
+def _ids(x) -> np.ndarray:
+    """``x`` as an int64 array of vertex ids; ids out of range raise."""
+    x = np.asarray(x)
+    if x.dtype.kind == "u" and x.size and x.max() > np.iinfo(np.int64).max:
+        raise ValueError(_ID_RANGE)
+    try:
+        return x.astype(np.int64, copy=False)
+    except OverflowError as e:
+        raise ValueError(_ID_RANGE) from e
 
 
 def list_small_k(g: LocalGraph, k: int, out) -> bool:
@@ -132,15 +193,7 @@ def collect_local(edges: DataFrame) -> LocalGraph:
     sequential peels (degeneracy, truss) — see DESIGN.md §2.
     """
     pdf = edges.select("u", "v").toPandas()
-    us = pdf["u"].to_numpy(dtype=np.int64)
-    vs = pdf["v"].to_numpy(dtype=np.int64)
-    order = np.lexsort((vs, us))
-    us, vs = us[order], vs[order]
-    adj: dict[int, set[int]] = {}
-    for a, b in zip(us.tolist(), vs.tolist()):
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return LocalGraph(us=us, vs=vs, adj=adj)
+    return LocalGraph.from_arrays(pdf["u"].to_numpy(np.int64), pdf["v"].to_numpy(np.int64))
 
 
 def to_spark(spark: SparkSession, g: LocalGraph) -> DataFrame:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.bruteforce import brute_force_count, brute_force_kcliques, check_cliques
 from repro.core.engine import (
     ALGORITHMS,
+    VBBKC_ALGOS,
     _run_units,
     _units,
     count_kcliques,
@@ -21,7 +22,7 @@ from repro.core.engine import (
 )
 from repro.core.etplex import CliqueCount
 from repro.graph import generators as G
-from repro.graph.loader import LocalGraph, collect_local, to_spark
+from repro.graph.loader import LocalGraph, collect_local, list_small_k, to_spark
 from repro.graph.truss import truss_decomposition
 
 from .test_properties import graphs, near_complete_graphs
@@ -422,6 +423,37 @@ def test_count_mode_matches_listing(algo, scheme, g, k, et_t):
     sink = CliqueCount()
     _run_units(g.adj, prep, algo, k, units, sink, **opts)
     assert sink.n == len(exp)
+
+
+VBBKC_UNIT_RUNS = [(a, s) for a in VBBKC_ALGOS for s in ("ep", "np")]
+
+
+@pytest.mark.parametrize("algo,scheme", VBBKC_UNIT_RUNS, ids=[f"{a}-{s}" for a, s in VBBKC_UNIT_RUNS])
+@given(
+    g=st.one_of(graphs(max_n=16), near_complete_graphs()),
+    k=st.integers(min_value=0, max_value=6),
+)
+@settings(max_examples=25, deadline=None)
+def test_vbbkc_units_drop_only_clique_free_branches(algo, scheme, g, k):
+    """The VBBkC units the driver keeps list every k-clique (k ≤ 2 goes
+    to `list_small_k`, as in every entry point), and every unit it drops
+    (too few out-neighbors, or common out-neighbors for EP) lists none."""
+    got: list[tuple[int, ...]] = []
+    if not list_small_k(g, k, got.append):
+        prep = prepare(g, algo, k)
+        units = _units(algo, scheme, prep, k)
+        _run_units(g.adj, prep, algo, k, units, got.append, et_t=0, rule2=False)
+        dag_out = prep["dag_out"]
+        every = (
+            [(v, -1) for v in prep["order"]] if scheme == "np"
+            else [(u, v) for u in prep["order"] for v in dag_out[u]]
+        )
+        kept = set(units)
+        dropped = [x for x in every if x not in kept]
+        none: list[tuple[int, ...]] = []
+        _run_units(g.adj, prep, algo, k, dropped, none.append, et_t=0, rule2=False)
+        assert none == []
+    assert sorted(tuple(sorted(c)) for c in got) == brute_force_kcliques(g, k)
 
 
 def test_count_closed_form_on_spark(spark):
