@@ -5,34 +5,38 @@ engine (`repro.core.engine`) prepares the orderings, picks the initial
 branches and runs them:
 
 * EBBkC-T — truss-based edge ordering (Algorithm 3),
-  :func:`ebbkc_t_top_branch` + :func:`_rec_t`. A branch is represented
-  implicitly as ``(S, verts, min_rank, l)``: its edge set is every
-  adjacency pair inside ``verts`` whose truss rank exceeds ``min_rank``
-  (the lazy equivalent of the VSet/ESet intersections in Algorithm 3).
-  Ranks are read from the per-vertex map ``nbr_rank[u][w]`` (position of
-  edge {u, w} in π_τ, see `repro.graph.truss`), whose keys double as the
-  adjacency.
+  :func:`ebbkc_t_sweep` + :func:`_rec_t`. Its initial branches come from
+  the same :func:`_sweep` along π_τ as EBBkC-H's. Below them a branch is
+  represented implicitly as ``(S, verts, min_rank, l)``: its edge set is
+  every adjacency pair inside ``verts`` whose truss rank exceeds
+  ``min_rank`` (the lazy equivalent of the VSet/ESet intersections in
+  Algorithm 3). Ranks are read from the per-vertex map ``nr[u][w]``
+  (position of edge {u, w} in π_τ), which the sweep builds from the
+  edges it walks; its keys double as the adjacency.
 * EBBkC-C — color-based edge ordering over the color DAG (Algorithm 4)
   with pruning Rule (1) and, unless ``rule2`` is off, Rule (2),
   :func:`ebbkc_c_top_branch` + :func:`_rec_c`.
 * EBBkC-H — hybrid (Algorithm 5): truss ordering at the initial branch,
-  per-branch re-coloring + color DAG below. :func:`ebbkc_h_sweep` runs
-  the initial branches as one sweep along π_τ: it keeps the adjacency
-  ``rem`` of G minus e_1..e_i, deleting each edge as the sweep passes
-  it, so g_i is the plain set intersection ``rem[u] & rem[v]`` and no
-  rank is read. :func:`ebbkc_h_top_branch` processes one branch; a
-  branch is re-colored only when it is branched on (l ≥ 3), so at
-  k ≤ 4 EBBkC-H never re-colors.
+  per-branch re-coloring + color DAG below.
+
+:func:`ebbkc_t_sweep` and :func:`ebbkc_h_sweep` run the initial branches
+as one sweep along π_τ: it keeps the adjacency ``rem`` of G minus
+e_1..e_i, deleting each edge as the sweep passes it, so g_i is the plain
+set intersection ``rem[u] & rem[v]`` and no rank is read at the top
+level. :func:`ebbkc_h_top_branch` processes one EBBkC-H branch; a branch
+is re-colored only when it is branched on (l ≥ 3), so at k ≤ 4 EBBkC-H
+never re-colors.
 
 Every kernel takes an ``out`` sink receiving each k-clique as a tuple of
 distinct vertices (listing semantics — output cost is part of the
 measured work, as in the paper; the engine's collecting sinks sort each
 tuple), plus an ``et_t`` early-termination threshold (0 disables ET; see
 `etplex`, where an `etplex.CliqueCount` sink makes ET count the branches
-it consumes instead of listing them). A ``*_top_branch`` entry point
-processes one initial-branch sub-problem (the unit of the paper's EP
-parallel scheme); :func:`initial_branches` picks the π_τ positions whose
-branch can hold a k-clique.
+it consumes instead of listing them). An initial-branch sub-problem is
+the unit of the paper's EP parallel scheme: a ``*_sweep`` runs the units
+at a list of π_τ positions, :func:`ebbkc_c_top_branch` one color-DAG
+edge; :func:`initial_branches` picks the π_τ positions whose branch can
+hold a k-clique.
 """
 from __future__ import annotations
 
@@ -49,15 +53,6 @@ NbrRank = dict[int, dict[int, int]]
 # --------------------------------------------------------------------------
 # EBBkC-T (Algorithm 3)
 # --------------------------------------------------------------------------
-
-
-def _initial_branch(nr: NbrRank, u: int, v: int) -> tuple[int, set[int]]:
-    """Slice the initial branch g_i of edge e_i = (u, v): returns e_i's
-    rank in π_τ and the common neighbors w whose edges to u and to v
-    are both ranked after e_i."""
-    nu, nv = nr[u], nr[v]
-    r = nu[v]
-    return r, {w for w in nu.keys() & nv.keys() if nu[w] > r and nv[w] > r}
 
 
 def initial_branches(sizes: list[int], k: int) -> list[int]:
@@ -119,17 +114,32 @@ def _rec_t(
                 _rec_t(s + (u, v), v2, r, child_l, nr, et_t, out)
 
 
-def ebbkc_t_top_branch(
-    nr: NbrRank,
-    u: int,
-    v: int,
+def rank_map(order: list[Edge], start: int) -> NbrRank:
+    """``nr[u][w]`` = ``nr[w][u]`` = position of edge {u, w} in π_τ,
+    over the edges of ``order`` from position ``start`` on."""
+    nr: NbrRank = {}
+    for i, (u, v) in enumerate(order[start:], start):
+        nr.setdefault(u, {})[v] = i
+        nr.setdefault(v, {})[u] = i
+    return nr
+
+
+def ebbkc_t_sweep(
+    order: list[Edge],
+    units: list[int],
     k: int,
     out: Out,
     et_t: int = 0,
 ) -> None:
-    """Process the initial-branch sub-problem for edge (u, v) of π_τ(G)."""
-    r, verts = _initial_branch(nr, u, v)
-    _rec_t((u, v), verts, r, k - 2, nr, et_t, out)
+    """EBBkC-T over the initial branches at the ascending π_τ positions
+    ``units`` of ``order``, in one :func:`_sweep`. The rank map that
+    :func:`_rec_t` reads below the top level holds the edges from the
+    first unit on: no branch reads an edge ranked before its own."""
+    if not units:
+        return
+    nr = rank_map(order, units[0])
+    for i, (rem, u, v) in zip(units, _sweep(order, units)):
+        _rec_t((u, v), rem[u] & rem[v], i, k - 2, nr, et_t, out)
 
 
 # --------------------------------------------------------------------------

@@ -11,21 +11,20 @@ steps fused) or per *vertex* (NP). The engine:
    triangles (numpy, or the distributed triangle dataflow) cut the graph
    to its k-truss, and the sequential peel runs on what is left
    (`repro.graph.truss`),
-2. broadcasts the structures the kernels read: for EBBkC-T the
-   per-vertex rank map ``nbr_rank`` of the k-truss (its keys are the
-   adjacency), for EBBkC-H π_τ of the k-truss itself, from which a task
-   sweeps its branches (`ebbkc.ebbkc_h_sweep`); otherwise the adjacency
-   + ordering structures,
+2. broadcasts the structures the kernels read: for EBBkC-T/H π_τ of
+   the k-truss itself, from which a task sweeps its branches
+   (`ebbkc.ebbkc_t_sweep`, `ebbkc.ebbkc_h_sweep`; EBBkC-T's task also
+   builds the rank map its recursion reads); otherwise the adjacency +
+   ordering structures,
 3. puts the top-branch unit list in the same broadcast. For EBBkC-T/H
-   the units are the initial branches with |g_i| ≥ k − 2 vertices (the
-   truss peel records |g_i|), in π_τ order: EBBkC-H's are their
-   positions in π_τ, EBBkC-T's their edges; no other branch can hold a
-   k-clique. VBBkC's are the degeneracy-DAG vertices with ≥ k − 1
-   out-neighbors (NP) or the arcs whose ends share ≥ k − 2
-   out-neighbors (EP), by the same argument. Task ``i`` of ``n_tasks``
-   takes the stripe ``units[i::n_tasks]`` in `_units` order (no cost
-   model; an EBBkC-H stripe stays ascending, so each task sweeps its
-   own), and
+   the units are the positions in π_τ of the initial branches with
+   |g_i| ≥ k − 2 vertices (the truss peel records |g_i|), ascending; no
+   other branch can hold a k-clique. VBBkC's are the degeneracy-DAG
+   vertices with ≥ k − 1 out-neighbors (NP) or the arcs whose ends
+   share ≥ k − 2 out-neighbors (EP), by the same argument. Task ``i``
+   of ``n_tasks`` takes the stripe ``units[i::n_tasks]`` in `_units`
+   order (no cost model; an EBBkC-T/H stripe stays ascending, so each
+   task sweeps its own), and
    ``spark.range(n_tasks)`` with one row per partition drives the
    ``mapInPandas`` job, so there is no exchange,
 4. runs the pure-Python kernels in that single-stage job; a count call
@@ -80,12 +79,10 @@ def prepare(g: LocalGraph, algo: str, k: int, *, edges_df: DataFrame | None = No
             if edges_df is not None
             else truss_decomposition(g, k=k)
         )
-        if algo == "ebbkc-h":
-            return {"kind": "sweep", "order": td.order, "sizes": td.sizes}
-        return {"kind": "truss", "nbr_rank": td.nbr_rank, "order": td.order, "sizes": td.sizes}
+        return {"kind": "sweep", "order": td.order, "sizes": td.sizes}
     if algo == "ebbkc-c":
         co = color_ordering(g)
-        return {"kind": "color", "out": co.out, "col": co.col, "vid": co.vid}
+        return {"kind": "color", "out": co.out, "col": co.col}
     if algo in VBBKC_ALGOS:
         order, dag_out = degeneracy_dag(g)
         return {"kind": "degen", "order": order, "dag_out": dag_out}
@@ -94,24 +91,16 @@ def prepare(g: LocalGraph, algo: str, k: int, *, edges_df: DataFrame | None = No
 
 def _units(algo: str, scheme: str, prep, k: int) -> list:
     """Top-branch units: (a, b) pairs, where NP units use b = -1, except
-    for EBBkC-H, whose units are positions in π_τ. EBBkC-T/H and VBBkC
+    for EBBkC-T/H, whose units are positions in π_τ. EBBkC-T/H and VBBkC
     units are the initial branches that can hold a k-clique: for VBBkC,
     an NP unit v needs |N⁺(v)| ≥ k − 1 and an EP unit u→v needs
-    |N⁺(u) ∩ N⁺(v)| ≥ k − 2 in the degeneracy DAG."""
-    if algo == "ebbkc-h":
+    |N⁺(u) ∩ N⁺(v)| ≥ k − 2 in the degeneracy DAG. EBBkC-C's are the
+    color-DAG edges, in no particular order: the DAG already encodes
+    edge exclusion, so its units are independent."""
+    if prep["kind"] == "sweep":
         return _e.initial_branches(prep["sizes"], k)
-    if algo == "ebbkc-t":
-        order = prep["order"]
-        return [order[i] for i in _e.initial_branches(prep["sizes"], k)]
     if algo == "ebbkc-c":
-        vid = prep["vid"]
-        units = [
-            (u, v)
-            for u, nbrs in prep["out"].items()
-            for v in nbrs
-        ]
-        units.sort(key=lambda e: (vid[e[0]], vid[e[1]]))
-        return units
+        return [(u, v) for u, nbrs in prep["out"].items() for v in nbrs]
     dag_out = prep["dag_out"]
     if scheme == "np":
         return [(v, -1) for v in prep["order"] if len(dag_out[v]) >= k - 1]
@@ -135,12 +124,10 @@ def _run_units(
     rule2: bool,
 ) -> None:
     """Run the kernel for each top-branch unit against sink ``out``; the
-    EBBkC-H units, ascending, in one sweep. ``adj`` is the graph's
-    adjacency (None for EBBkC-T/H, whose rank map or π_τ holds it)."""
+    EBBkC-T/H units, ascending, in one sweep. ``adj`` is the graph's
+    adjacency (None for EBBkC-T/H, whose π_τ holds it)."""
     if algo == "ebbkc-t":
-        nr = prep["nbr_rank"]
-        for u, v in units:
-            _e.ebbkc_t_top_branch(nr, u, v, k, out, et_t)
+        _e.ebbkc_t_sweep(prep["order"], units, k, out, et_t)
     elif algo == "ebbkc-h":
         _e.ebbkc_h_sweep(prep["order"], units, k, out, et_t, rule2)
     elif algo == "ebbkc-c":
@@ -230,14 +217,11 @@ def run_local(
 
 
 def _structures(g: LocalGraph, prep) -> dict:
-    """The graph structures a Spark task reads: for EBBkC-T the truss
-    rank map alone (its keys are the adjacency), for EBBkC-H π_τ alone,
-    else the adjacency + ``prep``. `prepare` has already cut the truss
-    structures to the k-truss."""
+    """The graph structures a Spark task reads: for EBBkC-T/H π_τ alone,
+    else the adjacency + ``prep``. `prepare` has already cut π_τ to the
+    k-truss."""
     if prep["kind"] == "sweep":
         return {"prep": {"kind": "sweep", "order": prep["order"]}}
-    if prep["kind"] == "truss":
-        return {"prep": {"kind": "truss", "nbr_rank": prep["nbr_rank"]}}
     return {"adj": g.adj, "prep": prep}
 
 
@@ -374,11 +358,14 @@ def list_kcliques(
 def structure_bytes(g: LocalGraph, algo: str) -> int:
     """Pickled size of the k-independent structures a task holds for
     ``algo`` (experiment 8's space proxy): what the engine broadcasts,
-    with the whole graph's truss rank map or π_τ (k = 0, no cut) rather
-    than the k-truss part one call ships, plus, for EBBkC-H, the
-    adjacency its sweep builds from π_τ (``rem`` before the first
-    deletion)."""
-    n = len(pickle.dumps(_structures(g, prepare(g, algo, 0))))
-    if algo == "ebbkc-h":
+    with the whole graph's π_τ (k = 0, no cut) rather than the k-truss
+    part one call ships, plus, for EBBkC-T/H, the adjacency their sweep
+    builds from π_τ (``rem`` before the first deletion) and, for
+    EBBkC-T, the rank map its recursion reads."""
+    prep = prepare(g, algo, 0)
+    n = len(pickle.dumps(_structures(g, prep)))
+    if prep["kind"] == "sweep":
         n += len(pickle.dumps(g.adj))
+    if algo == "ebbkc-t":
+        n += len(pickle.dumps(_e.rank_map(prep["order"], 0)))
     return n

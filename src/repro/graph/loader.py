@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import index
 
 import numpy as np
 import pandas as pd
@@ -142,8 +143,9 @@ class LocalGraph:
     @classmethod
     def from_pairs(cls, pairs) -> "LocalGraph":
         """Build from an iterable of (u, v) items (see `from_arrays`).
-        An item that is not a pair, or an id that Spark's ``long``
-        cannot hold, raises ValueError."""
+        An item that is not a pair, an id that Spark's ``long`` cannot
+        hold, or a non-integral float id raises ValueError; an integral
+        float such as ``1.0`` is taken, as pandas takes it."""
         pairs = list(pairs)
         try:
             lengths = set(map(len, pairs))
@@ -152,20 +154,38 @@ class LocalGraph:
         if lengths - {2}:
             raise ValueError(f"every item must be a (u, v) pair, got lengths {sorted(lengths)}")
         try:
-            flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+            try:
+                flat = np.fromiter(map(index, chain.from_iterable(pairs)), np.int64, 2 * len(pairs))
+            except TypeError:  # not every id is an int: check each one
+                flat = np.fromiter(map(_integral, chain.from_iterable(pairs)), np.int64, 2 * len(pairs))
         except OverflowError as e:
             raise ValueError(_ID_RANGE) from e
         return cls.from_arrays(flat[0::2], flat[1::2])
 
 
 _ID_RANGE = "vertex ids must fit in a signed 64-bit integer (Spark's long)"
+_NOT_INTEGRAL = "vertex ids must be integers"
+
+
+def _integral(x) -> int:
+    """The vertex id ``x`` as an int; a non-integral value raises."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"{_NOT_INTEGRAL}, got {x!r}")
+    return i
 
 
 def _ids(x) -> np.ndarray:
-    """``x`` as an int64 array of vertex ids; ids out of range raise."""
+    """``x`` as an int64 array of vertex ids; ids out of range, and
+    non-integral float ids, raise."""
     x = np.asarray(x)
     if x.dtype.kind == "u" and x.size and x.max() > np.iinfo(np.int64).max:
         raise ValueError(_ID_RANGE)
+    if x.dtype.kind == "f":
+        if (x != np.trunc(x)).any():  # NaN too
+            raise ValueError(_NOT_INTEGRAL)
+        if ((x < -(2.0**63)) | (x >= 2.0**63)).any():
+            raise ValueError(_ID_RANGE)
     try:
         return x.astype(np.int64, copy=False)
     except OverflowError as e:

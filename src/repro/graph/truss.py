@@ -27,10 +27,8 @@ equal support.
 
 The peel has two products for the kernels:
 
-* ``order``, π_τ itself, which EBBkC-H sweeps; its per-vertex rank map
-  ``nbr_rank[u][w]`` = position of edge {u, w}, derived from it for
-  EBBkC-T, whose keys are the adjacency, so EBBkC-T slices a branch
-  with plain dict reads;
+* ``order``, π_τ itself, which EBBkC-T and EBBkC-H sweep (EBBkC-T's
+  task derives from it the rank map its recursion reads);
 * ``sizes[i]``, the support at which the peel removes ``order[i]``. It
   equals |g_i|, the size of that edge's initial branch: the common
   neighbours still present at its removal are exactly those whose two
@@ -40,12 +38,11 @@ Algorithm 2 discards a branch with fewer than k − 2 vertices, so the
 engine's units are only the positions i with ``sizes[i] ≥ k − 2``; the
 rest are never sliced. After the cut the first edge has support
 ≥ k − 2, so the first unit is position 0 and the Spark engine ships the
-whole (cut) rank map or order.
+whole (cut) order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -77,16 +74,6 @@ class TrussDecomposition:
     def rank(self) -> dict[Edge, int]:
         """Edge → position in π_τ."""
         return {e: i for i, e in enumerate(self.order)}
-
-    @cached_property
-    def nbr_rank(self) -> dict[int, dict[int, int]]:
-        """``nbr_rank[u][w]`` = ``nbr_rank[w][u]`` = position of edge
-        {u, w} in π_τ; its keys are the adjacency of the peeled edges."""
-        nr: dict[int, dict[int, int]] = {}
-        for i, (u, v) in enumerate(self.order):
-            nr.setdefault(u, {})[v] = i
-            nr.setdefault(v, {})[u] = i
-        return nr
 
     @property
     def truss_number(self) -> dict[Edge, int]:

@@ -1,5 +1,7 @@
 """EBBkC (T / C / H, ± Rule 2, ± early termination) vs brute force, run
 through the engine's sequential path."""
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -103,13 +105,31 @@ def test_figure_2_example_graph():
         check_cliques(g, k, _run("ebbkc_h", g, k, et_t=2))
 
 
+def _rank_filter(order):
+    """The reference rank filter: ``above(i, a, b)`` is whether edge
+    {a, b} is in the graph and comes after position i of π_τ."""
+    pos = {e: i for i, e in enumerate(order)}
+
+    def above(i, a, b):
+        return pos.get((min(a, b), max(a, b)), -1) > i
+
+    return above
+
+
 def test_top_branch_decomposition_covers_all():
-    """Union over truss-ordered top branches = all k-cliques, each once."""
+    """Union over truss-ordered top branches = all k-cliques, each once,
+    and branch i lists only cliques made of e_i and edges after it."""
     g = GRAPHS["er_dense"]
     td = truss_decomposition(g)
+    above = _rank_filter(td.order)
     got = []
-    for u, v in td.order:
-        ebbkc.ebbkc_t_top_branch(td.nbr_rank, u, v, 5, got.append)
+    for i, (u, v) in enumerate(td.order):
+        branch = []
+        ebbkc.ebbkc_t_sweep(td.order, [i], 5, branch.append)
+        for c in branch:
+            assert {u, v} <= set(c)
+            assert all(above(i, a, b) for a, b in combinations(c, 2) if {a, b} != {u, v})
+        got += branch
     check_cliques(g, 5, got)
 
 
@@ -117,18 +137,24 @@ def test_top_branch_decomposition_covers_all():
 @settings(max_examples=60, deadline=None)
 def test_sweep_slices_the_rank_filtered_branch(g):
     """At every π_τ position i the sweep's g_i = rem[u] & rem[v] and its
-    adjacency {w: rem[w] & g_i} are EBBkC-T's rank-filtered slice: over
-    all positions, and over every other position of a suffix of π_τ."""
+    adjacency {w: rem[w] & g_i} are the rank-filtered slice: the common
+    neighbours, and the edges among them, ranked after e_i. EBBkC-T's
+    rank map, built from the first unit on, filters the same adjacency.
+    Over all positions, and over every other position of a suffix of π_τ."""
     td = truss_decomposition(g)
+    above = _rank_filter(td.order)
     m = len(td.order)
     for units in (list(range(m)), list(range(m // 2, m, 2))):
+        nr = ebbkc.rank_map(td.order, units[0]) if units else {}
         seen = []
         for rem, u, v in ebbkc._sweep(td.order, units):
-            r, verts = ebbkc._initial_branch(td.nbr_rank, u, v)
-            seen.append(r)
+            i = td.order.index((u, v))
+            seen.append(i)
+            verts = {w for w in g.adj[u] & g.adj[v] if above(i, u, w) and above(i, v, w)}
+            adj = {w: {x for x in g.adj[w] & verts if above(i, w, x)} for w in verts}
             assert rem[u] & rem[v] == verts
-            assert {w: rem[w] & verts for w in verts} == ebbkc._branch_adj(
-                td.nbr_rank, verts, r)
+            assert {w: rem[w] & verts for w in verts} == adj
+            assert ebbkc._branch_adj(nr, verts, i) == adj
         assert seen == units
 
 

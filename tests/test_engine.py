@@ -1,6 +1,7 @@
 """Distributed engine: EP/NP fan-out over the Spark cluster vs brute force."""
 import importlib
 import importlib.util
+import pickle
 import time
 from itertools import combinations
 from pathlib import Path
@@ -117,9 +118,17 @@ def test_run_local_all_algorithms_agree(graph):
 
 
 def test_structure_bytes_positive(graph):
-    for algo in ("ebbkc-h", "ebbkc-c", "ddegcol"):
+    for algo in ("ebbkc-t", "ebbkc-h", "ebbkc-c", "ddegcol"):
         b = structure_bytes(graph, algo)
         assert b > 0
+    # EBBkC-T holds what EBBkC-H holds (π_τ and the sweep's adjacency)
+    # plus the rank map its recursion reads, here from position 0.
+    nr: dict[int, dict[int, int]] = {}
+    for i, (u, v) in enumerate(truss_decomposition(graph).order):
+        nr.setdefault(u, {})[v] = i
+        nr.setdefault(v, {})[u] = i
+    assert structure_bytes(graph, "ebbkc-t") == (
+        structure_bytes(graph, "ebbkc-h") + len(pickle.dumps(nr)))
     # EBBkC carries the edge-ordering structures -> at least as large as
     # the degeneracy-only payload (paper experiment 8's observation).
     assert structure_bytes(graph, "ebbkc-h") >= structure_bytes(graph, "degen") * 0.5
@@ -185,39 +194,11 @@ def test_truss_kernels_match_brute_force(algo, et_t):
             assert sorted(run_local(g, k, algo, et_t=et_t, collect=True)) == exp
 
 
-def test_truss_broadcast_ships_only_the_rank_map(spark, graph, edges, monkeypatch):
-    """A truss-ordered call ships no adjacency and, of the rank map, only
-    the k-truss part, which `prepare` peels. The units are the edges
-    whose initial branch can hold a k-clique (|g_i| ≥ k − 2), and the
-    shipped map holds every edge of every k-clique."""
-    sc = spark.sparkContext
-    sent = []
-    broadcast = sc.broadcast
-    monkeypatch.setattr(sc, "broadcast", lambda v: sent.append(v) or broadcast(v))
-    g = collect_local(edges)
-    for k in (3, 4, 5):
-        td = truss_decomposition(g, k=k)
-        exp = brute_force_kcliques(graph, k)
-        assert count_kcliques(spark, edges, k, "ebbkc-t") == len(exp)
-        payload = sent.pop()
-        assert "adj" not in payload and "order" not in payload
-        assert payload["prep"].keys() == {"kind", "nbr_rank"}
-        assert payload["units"] == [e for e, s in zip(td.order, td.sizes) if s >= k - 2]
-        # the cut peel starts at a unit, so the map holds no rank before it
-        assert payload["units"][0] == td.order[0]
-        nr = payload["prep"]["nbr_rank"]
-        assert nr == td.nbr_rank
-        for c in exp:
-            for u, w in combinations(c, 2):
-                assert nr[u][w] == td.nbr_rank[u][w]
-    # at k = 5 the k-truss is a proper part of the graph
-    assert sum(map(len, nr.values())) // 2 < g.m
-
-
-def test_sweep_broadcast_ships_only_the_order_suffix(spark, graph, edges, monkeypatch):
-    """An EBBkC-H call ships no adjacency and no rank map, only π_τ of
-    the k-truss, which `prepare` peels. The units are the positions with
-    |g_i| ≥ k − 2, and the shipped order holds every edge of every
+@pytest.mark.parametrize("algo", ["ebbkc-t", "ebbkc-h"])
+def test_sweep_broadcast_ships_only_the_order_suffix(spark, graph, edges, monkeypatch, algo):
+    """A truss-ordered call ships no adjacency and no rank map, only π_τ
+    of the k-truss, which `prepare` peels. The units are the positions
+    with |g_i| ≥ k − 2, and the shipped order holds every edge of every
     k-clique."""
     sc = spark.sparkContext
     sent = []
@@ -227,7 +208,7 @@ def test_sweep_broadcast_ships_only_the_order_suffix(spark, graph, edges, monkey
     for k in (3, 4, 5):
         td = truss_decomposition(g, k=k)
         exp = brute_force_kcliques(graph, k)
-        assert count_kcliques(spark, edges, k, "ebbkc-h") == len(exp)
+        assert count_kcliques(spark, edges, k, algo) == len(exp)
         payload = sent.pop()
         assert "adj" not in payload
         assert payload["prep"].keys() == {"kind", "order"}

@@ -221,6 +221,31 @@ def test_from_pairs_rejects_non_pairs(pairs):
         LocalGraph.from_pairs(pairs)
 
 
+@pytest.mark.parametrize("pairs, integral", [
+    ([(1.7, 2)], False),
+    ([(1, 2), (3, 4.5)], False),
+    ([(1.0, 2)], True),
+    ([(3.0, 1.0), (2, 3)], True),
+])
+def test_float_ids_same_on_both_ingest_paths(spark, pairs, integral):
+    """The numpy ingest (`from_pairs`, `from_arrays`) and the Spark one
+    (`edges_from_pairs`) reject the same non-integral float ids and take
+    the same integral ones."""
+    a, b = (np.array(x) for x in zip(*pairs))
+    builds = [
+        lambda: LocalGraph.from_pairs(pairs),
+        lambda: LocalGraph.from_arrays(a, b),
+        lambda: collect_local(edges_from_pairs(spark, pairs)),
+    ]
+    if integral:
+        exp = sorted({(min(int(u), int(v)), max(int(u), int(v))) for u, v in pairs})
+        assert all(build().edge_list() == exp for build in builds)
+    else:
+        for build in builds:
+            with pytest.raises(ValueError):
+                build()
+
+
 def test_from_arrays_rejects_bad_arrays():
     with pytest.raises(ValueError, match="64-bit"):
         LocalGraph.from_arrays(np.array([2**63], dtype=np.uint64), np.array([1], dtype=np.uint64))

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ebbkc import _initial_branch, _sweep
+from repro.core.ebbkc import _sweep, rank_map
 from repro.graph import generators as G
 from repro.graph.core import degeneracy
 from repro.graph.loader import to_spark
@@ -63,14 +63,22 @@ def test_ordering_is_permutation_of_edges():
     ],
 )
 def test_nbr_rank_is_the_order(g):
-    """``nbr_rank[u][w]`` is edge {u, w}'s position in π_τ, both ways,
-    and its keys are the adjacency."""
+    """EBBkC-T's rank map ``nr[u][w]`` is edge {u, w}'s position in π_τ,
+    both ways, and its keys are the adjacency of the edges from its
+    start position on: all of it from position 0, a suffix from m // 2."""
     td = truss_decomposition(g)
     pos = {e: i for i, e in enumerate(td.order)}
-    assert {v: set(nb) for v, nb in td.nbr_rank.items()} == g.adj
-    for u, nb in td.nbr_rank.items():
-        for w, r in nb.items():
-            assert r == td.nbr_rank[w][u] == pos[(min(u, w), max(u, w))]
+    for start in (0, len(td.order) // 2):
+        nr = rank_map(td.order, start)
+        adj: dict[int, set[int]] = {}
+        for u, v in td.order[start:]:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        assert {v: set(nb) for v, nb in nr.items()} == adj
+        for u, nb in nr.items():
+            for w, r in nb.items():
+                assert r == nr[w][u] == pos[(min(u, w), max(u, w))]
+    assert {v: set(nb) for v, nb in rank_map(td.order, 0).items()} == g.adj
 
 
 @given(graphs(max_n=20))
@@ -81,8 +89,13 @@ def test_sizes_are_the_initial_branch_sizes(g):
     the truss number."""
     td = truss_decomposition(g)
     tn = td.truss_number
+    pos = {e: i for i, e in enumerate(td.order)}
     for i, (u, v) in enumerate(td.order):
-        assert td.sizes[i] == len(_initial_branch(td.nbr_rank, u, v)[1])
+        g_i = {
+            w for w in g.adj[u] & g.adj[v]
+            if pos[(min(u, w), max(u, w))] > i and pos[(min(v, w), max(v, w))] > i
+        }
+        assert td.sizes[i] == len(g_i)
         assert tn[(u, v)] == max(td.sizes[: i + 1]) + 2
 
 
@@ -145,7 +158,7 @@ def test_cut_above_k_max_is_empty():
     assert td.k_max == 8
     assert len(truss_decomposition(g, k=8).order) > 0
     cut = truss_decomposition(g, k=9)
-    assert cut.order == [] and cut.sizes == [] and cut.nbr_rank == {}
+    assert cut.order == [] and cut.sizes == []
 
 
 def test_tau_from_spark_matches_local(spark):
