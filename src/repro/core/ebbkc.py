@@ -202,10 +202,9 @@ def ebbkc_c_top_branch(
     rule2: bool = True,
 ) -> None:
     """The initial-branch sub-problem of EBBkC-C for the color-DAG edge
-    u→v (vid(u) < vid(v), hence col(u) ≥ col(v)): apply Rules (1)/(2)
-    at l = k, branch on the common out-neighbors, recurse with k − 2."""
-    if col[u] < k or col[v] < k - 1:
-        return
+    u→v (vid(u) < vid(v), hence col(u) ≥ col(v)): apply Rule (2) at
+    l = k, branch on the common out-neighbors, recurse with k − 2. The
+    engine's unit list already applies Rule (1) at l = k."""
     cand = co_out[u] & co_out[v]
     if rule2 and _distinct_colors(cand, col) < k - 2:
         return

@@ -11,20 +11,24 @@ steps fused) or per *vertex* (NP). The engine:
    triangles (numpy, or the distributed triangle dataflow) cut the graph
    to its k-truss, and the sequential peel runs on what is left
    (`repro.graph.truss`),
-2. broadcasts the structures the kernels read: for EBBkC-T/H π_τ of
-   the k-truss itself, from which a task sweeps its branches
-   (`ebbkc.ebbkc_t_sweep`, `ebbkc.ebbkc_h_sweep`; EBBkC-T's task also
-   builds the rank map its recursion reads); otherwise the adjacency +
-   ordering structures,
-3. puts the top-branch unit list in the same broadcast. For EBBkC-T/H
-   the units are the positions in π_τ of the initial branches with
-   |g_i| ≥ k − 2 vertices (the truss peel records |g_i|), ascending; no
-   other branch can hold a k-clique. VBBkC's are the degeneracy-DAG
-   vertices with ≥ k − 1 out-neighbors (NP) or the arcs whose ends
-   share ≥ k − 2 out-neighbors (EP), by the same argument. Task ``i``
-   of ``n_tasks`` takes the stripe ``units[i::n_tasks]`` in `_units`
-   order (no cost model; an EBBkC-T/H stripe stays ascending, so each
-   task sweeps its own), and
+2. broadcasts the payload `prepare` returns, which is exactly what a
+   task reads: for EBBkC-T/H π_τ of the k-truss itself, from which a
+   task sweeps its branches (`ebbkc.ebbkc_t_sweep`,
+   `ebbkc.ebbkc_h_sweep`; EBBkC-T's task also builds the rank map its
+   recursion reads); for EBBkC-C the adjacency, color DAG and colors;
+   for VBBkC the adjacency and degeneracy DAG,
+3. puts the top-branch unit list and the scheme in the same broadcast.
+   A unit's shape is its scheme: an EP unit is an edge (u, v), an NP
+   unit a bare vertex v, and an EBBkC-T/H unit a position in π_τ. Only
+   units that can hold a k-clique are listed: for EBBkC-T/H the
+   positions of the initial branches with |g_i| ≥ k − 2 vertices (the
+   truss peel records |g_i|), ascending; for EBBkC-C the color-DAG
+   edges that pass Rule (1) at l = k and whose ends share ≥ k − 2
+   out-neighbors; for VBBkC the degeneracy-DAG vertices with ≥ k − 1
+   out-neighbors (NP) or the arcs whose ends share ≥ k − 2
+   out-neighbors (EP). Task ``i`` of ``n_tasks`` takes the stripe
+   ``units[i::n_tasks]`` in `_units` order (no cost model; an
+   EBBkC-T/H stripe stays ascending, so each task sweeps its own), and
    ``spark.range(n_tasks)`` with one row per partition drives the
    ``mapInPandas`` job, so there is no exchange,
 4. runs the pure-Python kernels in that single-stage job; a count call
@@ -69,53 +73,60 @@ ALGORITHMS = EBBKC_ALGOS + VBBKC_ALGOS
 
 def prepare(g: LocalGraph, algo: str, k: int, *, edges_df: DataFrame | None = None):
     """Algorithm preprocessing for k-cliques (the part the paper's
-    reported times include). The truss-ordered algorithms peel only the
-    k-truss (all of ``g`` for k ≤ 2), with the triangles from the
-    distributed triangle dataflow over ``edges_df`` (``g`` collected)
-    when it is given."""
+    reported times include), returned as the payload a task reads:
+    π_τ (``order``) for EBBkC-T/H, plus the |g_i| of each position
+    (``sizes``), which only `_units` reads; the adjacency, color DAG and
+    colors (``adj``, ``out``, ``col``) for EBBkC-C; the adjacency and
+    degeneracy DAG (``adj``, ``dag_out``, keyed in degeneracy order)
+    for VBBkC. The truss-ordered algorithms peel only the k-truss (all
+    of ``g`` for k ≤ 2), with the triangles from the distributed
+    triangle dataflow over ``edges_df`` (``g`` collected) when it is
+    given."""
     if algo in ("ebbkc-t", "ebbkc-h"):
         td = (
             truss_decomposition_from_spark(edges_df, g, k=k)
             if edges_df is not None
             else truss_decomposition(g, k=k)
         )
-        return {"kind": "sweep", "order": td.order, "sizes": td.sizes}
+        return {"order": td.order, "sizes": td.sizes}
     if algo == "ebbkc-c":
         co = color_ordering(g)
-        return {"kind": "color", "out": co.out, "col": co.col}
+        return {"adj": g.adj, "out": co.out, "col": co.col}
     if algo in VBBKC_ALGOS:
-        order, dag_out = degeneracy_dag(g)
-        return {"kind": "degen", "order": order, "dag_out": dag_out}
+        return {"adj": g.adj, "dag_out": degeneracy_dag(g)[1]}
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def _units(algo: str, scheme: str, prep, k: int) -> list:
-    """Top-branch units: (a, b) pairs, where NP units use b = -1, except
-    for EBBkC-T/H, whose units are positions in π_τ. EBBkC-T/H and VBBkC
-    units are the initial branches that can hold a k-clique: for VBBkC,
-    an NP unit v needs |N⁺(v)| ≥ k − 1 and an EP unit u→v needs
-    |N⁺(u) ∩ N⁺(v)| ≥ k − 2 in the degeneracy DAG. EBBkC-C's are the
-    color-DAG edges, in no particular order: the DAG already encodes
-    edge exclusion, so its units are independent."""
-    if prep["kind"] == "sweep":
+    """The top-branch units that can hold a k-clique. EBBkC-T/H's are
+    positions in π_τ (|g_i| ≥ k − 2), ascending. EBBkC-C's are the
+    color-DAG edges u→v that pass Rule (1) at l = k (col u ≥ k,
+    col v ≥ k − 1) and have |out(u) ∩ out(v)| ≥ k − 2, in no particular
+    order: the DAG already encodes edge exclusion, so its units are
+    independent. VBBkC's, in degeneracy order, are the vertices v with
+    |N⁺(v)| ≥ k − 1 (NP) or the arcs u→v with |N⁺(u) ∩ N⁺(v)| ≥ k − 2
+    (EP) of the degeneracy DAG."""
+    if algo in ("ebbkc-t", "ebbkc-h"):
         return _e.initial_branches(prep["sizes"], k)
     if algo == "ebbkc-c":
-        return [(u, v) for u, nbrs in prep["out"].items() for v in nbrs]
+        co_out, col = prep["out"], prep["col"]
+        return [(u, v) for u, nbrs in co_out.items() if col[u] >= k for v in nbrs
+                if col[v] >= k - 1 and len(nbrs & co_out[v]) >= k - 2]
     dag_out = prep["dag_out"]
     if scheme == "np":
-        return [(v, -1) for v in prep["order"] if len(dag_out[v]) >= k - 1]
+        return [v for v, nbrs in dag_out.items() if len(nbrs) >= k - 1]
     return [
         (u, v)
-        for u in prep["order"]
-        for v in dag_out[u]
-        if len(dag_out[u] & dag_out[v]) >= k - 2
+        for u, nbrs in dag_out.items()
+        for v in nbrs
+        if len(nbrs & dag_out[v]) >= k - 2
     ]
 
 
 def _run_units(
-    adj: dict[int, set[int]] | None,
     prep,
     algo: str,
+    scheme: str,
     k: int,
     units: list,
     out: Out,
@@ -123,30 +134,27 @@ def _run_units(
     et_t: int,
     rule2: bool,
 ) -> None:
-    """Run the kernel for each top-branch unit against sink ``out``; the
-    EBBkC-T/H units, ascending, in one sweep. ``adj`` is the graph's
-    adjacency (None for EBBkC-T/H, whose π_τ holds it)."""
+    """Run the kernel for each top-branch unit against sink ``out``: the
+    EBBkC-T/H positions, ascending, in one sweep; a vertex v (VBBkC NP)
+    or an edge (u, v) (VBBkC EP, EBBkC-C) per call."""
     if algo == "ebbkc-t":
         _e.ebbkc_t_sweep(prep["order"], units, k, out, et_t)
     elif algo == "ebbkc-h":
         _e.ebbkc_h_sweep(prep["order"], units, k, out, et_t, rule2)
     elif algo == "ebbkc-c":
-        co_out, col = prep["out"], prep["col"]
+        adj, co_out, col = prep["adj"], prep["out"], prep["col"]
         for u, v in units:
             _e.ebbkc_c_top_branch(co_out, col, adj, u, v, k, out, et_t, rule2)
     else:
-        dag_out = prep["dag_out"]
-        for u, v in units:
-            if v < 0:
+        adj, dag_out = prep["adj"], prep["dag_out"]
+        if scheme == "np":
+            for v in units:
                 _v.vbbkc_top_branch_vertex(
-                    adj, dag_out, u, k, out,
-                    variant=algo, rule2=rule2, et_t=et_t,
-                )
-            else:
+                    adj, dag_out, v, k, out, variant=algo, rule2=rule2, et_t=et_t)
+        else:
+            for u, v in units:
                 _v.vbbkc_top_branch_edge(
-                    adj, dag_out, u, v, k, out,
-                    variant=algo, rule2=rule2, et_t=et_t,
-                )
+                    adj, dag_out, u, v, k, out, variant=algo, rule2=rule2, et_t=et_t)
 
 
 def _check_args(
@@ -209,38 +217,30 @@ def run_local(
         if list_small_k(g, k, out):
             return
         prep = prepare(g, algo, k)
-        units = _units(algo, "ep" if algo in EBBKC_ALGOS else "np", prep, k)
-        _run_units(g.adj, prep, algo, k, units, out,
+        scheme = "ep" if algo in EBBKC_ALGOS else "np"
+        units = _units(algo, scheme, prep, k)
+        _run_units(prep, algo, scheme, k, units, out,
                    et_t=et_t, rule2=_rule2(algo, rule2))
 
     return _with_sink(run, collect)
 
 
-def _structures(g: LocalGraph, prep) -> dict:
-    """The graph structures a Spark task reads: for EBBkC-T/H π_τ alone,
-    else the adjacency + ``prep``. `prepare` has already cut π_τ to the
-    k-truss."""
-    if prep["kind"] == "sweep":
-        return {"prep": {"kind": "sweep", "order": prep["order"]}}
-    return {"adj": g.adj, "prep": prep}
-
-
 def _task_iterator_factory(bc, collect: bool):
     """Build the mapInPandas worker: for each task id ``i`` it reads, it
     runs the kernels over the stripe ``units[i::n_tasks]`` of the
-    broadcast unit list against the broadcast graph + orderings, into
+    broadcast unit list against the broadcast `prepare` payload, into
     the `_with_sink` sink (closed-form counting when the broadcast says
     ``closed_form``)."""
 
     def fn(batches):
         p = bc.value
-        adj, prep, algo, k, units, n_tasks = (
-            p.get("adj"), p["prep"], p["algo"], p["k"], p["units"], p["n_tasks"])
+        prep, algo, scheme, k, units, n_tasks = (
+            p["prep"], p["algo"], p["scheme"], p["k"], p["units"], p["n_tasks"])
         opts = {"et_t": p["et_t"], "rule2": p["rule2"]}
         for pdf in batches:
             for i in pdf["id"].tolist():
                 res = _with_sink(
-                    lambda out: _run_units(adj, prep, algo, k, units[i::n_tasks], out, **opts),
+                    lambda out: _run_units(prep, algo, scheme, k, units[i::n_tasks], out, **opts),
                     collect, p["closed_form"],
                 )
                 if collect:
@@ -277,14 +277,16 @@ def _distribute(
         return spark.createDataFrame(rows, schema=schema), None
     prep = prepare(g, algo, k, edges_df=edges if distributed_preprocess else None)
     units = _units(algo, scheme, prep, k)
+    prep.pop("sizes", None)
     sc = spark.sparkContext
     n_tasks = n_tasks if n_tasks is not None else sc.defaultParallelism
     bc = sc.broadcast(
         {
-            **_structures(g, prep),
+            "prep": prep,
             "units": units,
             "n_tasks": n_tasks,
             "algo": algo,
+            "scheme": scheme,
             "k": k,
             "et_t": et_t,
             "rule2": _rule2(algo, rule2),
@@ -357,14 +359,15 @@ def list_kcliques(
 
 def structure_bytes(g: LocalGraph, algo: str) -> int:
     """Pickled size of the k-independent structures a task holds for
-    ``algo`` (experiment 8's space proxy): what the engine broadcasts,
-    with the whole graph's π_τ (k = 0, no cut) rather than the k-truss
-    part one call ships, plus, for EBBkC-T/H, the adjacency their sweep
-    builds from π_τ (``rem`` before the first deletion) and, for
-    EBBkC-T, the rank map its recursion reads."""
+    ``algo`` (experiment 8's space proxy): the `prepare` payload the
+    engine broadcasts, with the whole graph's π_τ (k = 0, no cut) rather
+    than the k-truss part one call ships, plus, for EBBkC-T/H, the
+    adjacency their sweep builds from π_τ (``rem`` before the first
+    deletion) and, for EBBkC-T, the rank map its recursion reads."""
     prep = prepare(g, algo, 0)
-    n = len(pickle.dumps(_structures(g, prep)))
-    if prep["kind"] == "sweep":
+    prep.pop("sizes", None)
+    n = len(pickle.dumps({"prep": prep}))
+    if "adj" not in prep:
         n += len(pickle.dumps(g.adj))
     if algo == "ebbkc-t":
         n += len(pickle.dumps(_e.rank_map(prep["order"], 0)))

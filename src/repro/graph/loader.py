@@ -176,17 +176,17 @@ def _integral(x) -> int:
 
 
 def _ids(x) -> np.ndarray:
-    """``x`` as an int64 array of vertex ids; ids out of range, and
-    non-integral float ids, raise."""
+    """``x`` as an int64 array of vertex ids; ids out of range, string
+    ids and non-integral float ids raise. Float and object arrays are
+    read one id at a time, as `LocalGraph.from_pairs` reads them."""
     x = np.asarray(x)
+    if x.dtype.kind in "SU":
+        raise ValueError(f"{_NOT_INTEGRAL}, got {x.dtype} ids")
     if x.dtype.kind == "u" and x.size and x.max() > np.iinfo(np.int64).max:
         raise ValueError(_ID_RANGE)
-    if x.dtype.kind == "f":
-        if (x != np.trunc(x)).any():  # NaN too
-            raise ValueError(_NOT_INTEGRAL)
-        if ((x < -(2.0**63)) | (x >= 2.0**63)).any():
-            raise ValueError(_ID_RANGE)
     try:
+        if x.dtype.kind in "fO":
+            x = np.asarray(np.frompyfunc(_integral, 1, 1)(x))
         return x.astype(np.int64, copy=False)
     except OverflowError as e:
         raise ValueError(_ID_RANGE) from e

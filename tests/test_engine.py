@@ -26,7 +26,7 @@ from repro.graph import generators as G
 from repro.graph.loader import LocalGraph, collect_local, list_small_k, to_spark
 from repro.graph.truss import truss_decomposition
 
-from .test_properties import graphs, near_complete_graphs
+from .test_properties import graphs, near_complete_graphs, relabelled
 
 # Triangle {0, 1, 2} plus the pendant edge 2-3: 4 vertices, 4 edges.
 PAW = [(0, 1), (1, 2), (0, 2), (2, 3)]
@@ -196,10 +196,10 @@ def test_truss_kernels_match_brute_force(algo, et_t):
 
 @pytest.mark.parametrize("algo", ["ebbkc-t", "ebbkc-h"])
 def test_sweep_broadcast_ships_only_the_order_suffix(spark, graph, edges, monkeypatch, algo):
-    """A truss-ordered call ships no adjacency and no rank map, only π_τ
-    of the k-truss, which `prepare` peels. The units are the positions
-    with |g_i| ≥ k − 2, and the shipped order holds every edge of every
-    k-clique."""
+    """A truss-ordered call ships π_τ of the k-truss, which `prepare`
+    peels (and, by `test_broadcast_ships_the_task_payload`, nothing
+    else). The units are the positions with |g_i| ≥ k − 2, and the
+    shipped order holds every edge of every k-clique."""
     sc = spark.sparkContext
     sent = []
     broadcast = sc.broadcast
@@ -210,8 +210,6 @@ def test_sweep_broadcast_ships_only_the_order_suffix(spark, graph, edges, monkey
         exp = brute_force_kcliques(graph, k)
         assert count_kcliques(spark, edges, k, algo) == len(exp)
         payload = sent.pop()
-        assert "adj" not in payload
-        assert payload["prep"].keys() == {"kind", "order"}
         units = [i for i, s in enumerate(td.sizes) if s >= k - 2]
         assert payload["units"] == units
         assert units[0] == 0  # the cut peel starts at a unit
@@ -221,6 +219,31 @@ def test_sweep_broadcast_ships_only_the_order_suffix(spark, graph, edges, monkey
             assert set(combinations(c, 2)) <= shipped
     # at k = 5 the k-truss is a proper part of the graph
     assert len(payload["prep"]["order"]) < g.m
+
+
+# The `prepare` keys a task reads, per algorithm: no `sizes`, no tag.
+PAYLOAD_KEYS = {"ebbkc-t": {"order"}, "ebbkc-h": {"order"}, "ebbkc-c": {"adj", "out", "col"}}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_broadcast_ships_the_task_payload(spark, graph, edges, monkeypatch, algo):
+    """The broadcast carries exactly the payload a task reads: π_τ
+    alone for EBBkC-T/H (no adjacency, rank map or sizes), the
+    adjacency + color DAG + colors for EBBkC-C, the adjacency +
+    degeneracy DAG for VBBkC, next to the units and the scheme they
+    are in."""
+    sc = spark.sparkContext
+    sent = []
+    broadcast = sc.broadcast
+    monkeypatch.setattr(sc, "broadcast", lambda v: sent.append(v) or broadcast(v))
+    for scheme in ("ep",) if algo in PAYLOAD_KEYS else ("ep", "np"):
+        assert count_kcliques(spark, edges, 4, algo, scheme=scheme) == brute_force_count(graph, 4)
+        (payload,) = sent
+        sent.clear()
+        assert payload["prep"].keys() == PAYLOAD_KEYS.get(algo, {"adj", "dag_out"})
+        assert payload["scheme"] == scheme
+        assert payload.keys() == {
+            "prep", "units", "n_tasks", "algo", "scheme", "k", "et_t", "rule2", "closed_form"}
 
 
 def test_ebbkc_h_early_terminates_at_l_2(graph, monkeypatch):
@@ -273,6 +296,10 @@ def test_ebbkc_h_k4_matches_brute_force(g, et_t):
     assert run_local(g, 4, "ebbkc-h", et_t=et_t) == brute_force_count(g, 4)
 
 
+# Graphs with small ids from 0, and the same with ids drawn from all of
+# Spark's long, negative and large ones included.
+ANY_IDS = st.one_of(graphs(), relabelled(graphs()))
+
 # (algo, scheme): EP for every algorithm here, NP for the VBBkC ones.
 FANOUTS = [(a, "ep") for a in ("ebbkc-t", "ebbkc-c", "ebbkc-h", "ddegcol", "bitcol")] + [
     (a, "np") for a in ("ddegcol", "bitcol")
@@ -281,7 +308,7 @@ FANOUTS = [(a, "ep") for a in ("ebbkc-t", "ebbkc-c", "ebbkc-h", "ddegcol", "bitc
 
 @pytest.mark.parametrize("algo,scheme", FANOUTS, ids=[f"{a}-{s}" for a, s in FANOUTS])
 @given(
-    g=graphs(),
+    g=ANY_IDS,
     k=st.integers(min_value=0, max_value=6),
     n_tasks=st.sampled_from([1, 3, 9]),
     et_t=st.integers(min_value=0, max_value=5),
@@ -291,7 +318,7 @@ def test_fanout_matches_brute_force(spark, algo, scheme, g, k, n_tasks, et_t):
     """Every stripe of the unit list is run exactly once: count and list
     agree with brute force at 1 task, 3 tasks and more tasks than cores
     (and, on small graphs, than units), with early termination on or
-    off and for k ≤ 2 too."""
+    off, for k ≤ 2 too and for any ids."""
     exp = brute_force_kcliques(g, k)
     df = to_spark(spark, g)
     kw = {"scheme": scheme, "n_tasks": n_tasks, "et_t": et_t}
@@ -385,7 +412,7 @@ UNIT_RUNS = [(a, "ep") for a in ("ebbkc-t", "ebbkc-c", "ebbkc-h")] + [
 
 @pytest.mark.parametrize("algo,scheme", UNIT_RUNS, ids=[f"{a}-{s}" for a, s in UNIT_RUNS])
 @given(
-    g=st.one_of(graphs(max_n=16), near_complete_graphs()),
+    g=st.one_of(graphs(max_n=16), near_complete_graphs(), relabelled(graphs(max_n=16))),
     k=st.integers(min_value=3, max_value=8),
     et_t=st.integers(min_value=0, max_value=5),
 )
@@ -399,42 +426,66 @@ def test_count_mode_matches_listing(algo, scheme, g, k, et_t):
     units = _units(algo, scheme, prep, k)
     opts = {"et_t": et_t, "rule2": algo in ("ebbkc-c", "ebbkc-h")}
     listed: list[tuple[int, ...]] = []
-    _run_units(g.adj, prep, algo, k, units, listed.append, **opts)
+    _run_units(prep, algo, scheme, k, units, listed.append, **opts)
     assert sorted(tuple(sorted(c)) for c in listed) == exp
     sink = CliqueCount()
-    _run_units(g.adj, prep, algo, k, units, sink, **opts)
+    _run_units(prep, algo, scheme, k, units, sink, **opts)
     assert sink.n == len(exp)
 
 
-VBBKC_UNIT_RUNS = [(a, s) for a in VBBKC_ALGOS for s in ("ep", "np")]
+VBBKC_UNIT_RUNS = [(a, s) for a in VBBKC_ALGOS for s in ("ep", "np")] + [("ebbkc-c", "ep")]
 
 
 @pytest.mark.parametrize("algo,scheme", VBBKC_UNIT_RUNS, ids=[f"{a}-{s}" for a, s in VBBKC_UNIT_RUNS])
 @given(
-    g=st.one_of(graphs(max_n=16), near_complete_graphs()),
+    g=st.one_of(graphs(max_n=16), near_complete_graphs(), relabelled(graphs(max_n=16))),
     k=st.integers(min_value=0, max_value=6),
 )
 @settings(max_examples=25, deadline=None)
 def test_vbbkc_units_drop_only_clique_free_branches(algo, scheme, g, k):
-    """The VBBkC units the driver keeps list every k-clique (k ≤ 2 goes
-    to `list_small_k`, as in every entry point), and every unit it drops
-    (too few out-neighbors, or common out-neighbors for EP) lists none."""
+    """The VBBkC and EBBkC-C units the driver keeps list every k-clique
+    (k ≤ 2 goes to `list_small_k`, as in every entry point), and every
+    unit it drops lists none: a VBBkC vertex with too few out-neighbors,
+    a VBBkC arc or an EBBkC-C color-DAG edge whose ends share too few
+    out-neighbors, or an EBBkC-C edge that fails Rule (1)."""
     got: list[tuple[int, ...]] = []
     if not list_small_k(g, k, got.append):
         prep = prepare(g, algo, k)
         units = _units(algo, scheme, prep, k)
-        _run_units(g.adj, prep, algo, k, units, got.append, et_t=0, rule2=False)
-        dag_out = prep["dag_out"]
-        every = (
-            [(v, -1) for v in prep["order"]] if scheme == "np"
-            else [(u, v) for u in prep["order"] for v in dag_out[u]]
-        )
+        _run_units(prep, algo, scheme, k, units, got.append, et_t=0, rule2=False)
+        dag = prep["out"] if algo == "ebbkc-c" else prep["dag_out"]
+        every = list(dag) if scheme == "np" else [(u, v) for u in dag for v in dag[u]]
         kept = set(units)
         dropped = [x for x in every if x not in kept]
         none: list[tuple[int, ...]] = []
-        _run_units(g.adj, prep, algo, k, dropped, none.append, et_t=0, rule2=False)
+        _run_units(prep, algo, scheme, k, dropped, none.append, et_t=0, rule2=False)
         assert none == []
     assert sorted(tuple(sorted(c)) for c in got) == brute_force_kcliques(g, k)
+
+
+@pytest.fixture(scope="module")
+def negative_ids():
+    """ER(30, 0.4, seed 3) with every id shifted by −100."""
+    g = G.erdos_renyi(30, 0.4, seed=3)
+    return LocalGraph.from_arrays(g.us - 100, g.vs - 100)
+
+
+@pytest.fixture(scope="module")
+def negative_id_edges(spark, negative_ids):
+    df = to_spark(spark, negative_ids)
+    df.cache().count()
+    return df
+
+
+@pytest.mark.parametrize("algo,scheme", UNIT_RUNS, ids=[f"{a}-{s}" for a, s in UNIT_RUNS])
+def test_negative_ids(spark, negative_ids, negative_id_edges, algo, scheme):
+    """Negative ids are vertices like any other: an EP unit whose second
+    vertex is negative is still an edge, on count and list alike."""
+    exp = brute_force_kcliques(negative_ids, 4)
+    assert min(min(c) for c in exp) < 0
+    assert count_kcliques(spark, negative_id_edges, 4, algo, scheme=scheme) == len(exp)
+    rows = list_kcliques(spark, negative_id_edges, 4, algo, scheme=scheme).collect()
+    assert sorted(tuple(r["clique"]) for r in rows) == exp
 
 
 def test_count_closed_form_on_spark(spark):

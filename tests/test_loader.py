@@ -226,15 +226,19 @@ def test_from_pairs_rejects_non_pairs(pairs):
     ([(1, 2), (3, 4.5)], False),
     ([(1.0, 2)], True),
     ([(3.0, 1.0), (2, 3)], True),
+    ([("5", "3")], False),
+    ([(b"5", b"3")], False),
 ])
 def test_float_ids_same_on_both_ingest_paths(spark, pairs, integral):
-    """The numpy ingest (`from_pairs`, `from_arrays`) and the Spark one
-    (`edges_from_pairs`) reject the same non-integral float ids and take
-    the same integral ones."""
+    """The numpy ingest (`from_pairs`, `from_arrays` over typed and over
+    object arrays) and the Spark one (`edges_from_pairs`) reject the
+    same non-integral float ids and string ids, and take the same
+    integral ones."""
     a, b = (np.array(x) for x in zip(*pairs))
     builds = [
         lambda: LocalGraph.from_pairs(pairs),
         lambda: LocalGraph.from_arrays(a, b),
+        lambda: LocalGraph.from_arrays(a.astype(object), b.astype(object)),
         lambda: collect_local(edges_from_pairs(spark, pairs)),
     ]
     if integral:

@@ -27,6 +27,17 @@ def graphs(draw, max_n=14):
 
 
 @st.composite
+def relabelled(draw, base):
+    """A graph drawn from ``base`` with its vertices renamed to distinct
+    ids drawn from the whole of Spark's long, negative and large ones
+    included."""
+    g = draw(base)
+    ids = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+    new = dict(zip(g.vertices, draw(st.lists(ids, min_size=g.n, max_size=g.n, unique=True))))
+    return LocalGraph.from_pairs((new[u], new[v]) for u, v in g.edge_list())
+
+
+@st.composite
 def near_complete_graphs(draw, max_n=16):
     """K_n minus a few random edges: dense enough that early termination
     meets 2-plexes with non-adjacent pairs and t-plexes (t ≥ 3) whose

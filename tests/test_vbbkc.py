@@ -124,7 +124,7 @@ def test_degen_units_recurse_over_the_global_dag(monkeypatch, scheme):
     monkeypatch.setattr(vbbkc, "_rec_v", spy)
     got = []
     units = _units("degen", scheme, prep, 5)
-    _run_units(g.adj, prep, "degen", 5, units, got.append, et_t=0, rule2=False)
+    _run_units(prep, "degen", scheme, 5, units, got.append, et_t=0, rule2=False)
     assert calls.count(1 if scheme == "np" else 2) == len(units)
     check_cliques(g, 5, got)
 
