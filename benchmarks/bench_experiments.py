@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import count_kcliques, run_local
-from repro.experiments import graph_info, policy_t
+from repro.experiments import LINEUPS, graph_info, lineup_opts
 from repro.graph import generators as G
 from repro.graph.core import core_decomposition
 from repro.graph.datasets import DATASETS, DEFAULT_DATASETS, SCALABILITY
@@ -20,88 +20,54 @@ from repro.graph.loader import LocalGraph, to_spark
 from repro.graph.stats import compute_stats
 from repro.graph.truss import truss_decomposition
 
-# (label, algorithm, run_local options); "et_t": "policy" is the paper's
-# threshold for the cell's dataset and k.
-ET = {"et_t": "policy"}
-MAIN = [
-    ("EBBkC+ET", "ebbkc-h", ET),
-    ("DDegCol", "ddegcol", {}),
-    ("DDegree", "ddegree", {}),
-    ("SDegree", "sdegree", {}),
-    ("BitCol", "bitcol", {}),
-]
-
-# experiment → ({dataset: k values}, line-up); the sequential cells.
+# experiment → {dataset: k values}: the sequential cells, each run with
+# the experiment's line-up from `repro.experiments.LINEUPS`.
 LOCAL = {
-    # Exp 1 (Fig. 4): small-ω comparison, EBBkC+ET vs the four VBBkC baselines.
-    "exp1": ({"wk": (4, 8, 12), "po": (4, 8, 13), "cn": (6, 15), "ba": (4, 6)}, MAIN),
+    # Exp 1 (Fig. 4): small-ω comparison.
+    "exp1": {"wk": (4, 8, 12), "po": (4, 8, 13), "cn": (6, 15), "ba": (4, 6)},
     # Exp 2 (Fig. 5): large-ω comparison, small k plus k near ω
     # (ω: st=30, or=32, db=34 on the substitutes).
-    "exp2": ({"st": (4, 26, 30), "or": (4, 28, 32), "db": (4, 30, 34)}, MAIN),
+    "exp2": {"st": (4, 26, 30), "or": (4, 28, 32), "db": (4, 30, 34)},
     # Exp 3 (Fig. 6/14): ablation, the VBBkC SOTA with Rule 2 and no SIMD.
-    "exp3": ({"wk": (8, 12), "st": (26, 30)}, [
-        ("EBBkC+ET", "ebbkc-h", ET),
-        ("EBBkC", "ebbkc-h", {}),
-        ("DDegCol+", "ddegcol", {"rule2": True}),
-        ("BitCol+", "bitcol", {"rule2": True}),
-    ]),
-    # Exp 4 (Fig. 7): the three edge orderings, all pruned, all +ET.
-    "exp4": ({"wk": (8, 12), "or": (28,)}, [
-        ("EBBkC-T+ET", "ebbkc-t", ET),
-        ("EBBkC-C+ET", "ebbkc-c", ET),
-        ("EBBkC-H+ET", "ebbkc-h", ET),
-    ]),
+    "exp3": {"wk": (8, 12), "st": (26, 30)},
+    # Exp 4 (Fig. 7): the three edge orderings.
+    "exp4": {"wk": (8, 12), "or": (28,)},
     # Exp 5 (Fig. 8/15): pruning Rule (2) on vs off.
-    "exp5": ({"wk": (8, 12), "or": (28,)}, [
-        ("rule2-on", "ebbkc-h", {**ET, "rule2": True}),
-        ("rule2-off", "ebbkc-h", {**ET, "rule2": False}),
-    ]),
+    "exp5": {"wk": (8, 12), "or": (28,)},
     # Exp 6 (Fig. 9): early-termination threshold t ∈ {1..5}.
-    "exp6": ({"wk": (8, 12), "cn": (15,)}, [
-        (f"t={t}", "ebbkc-h", {"et_t": t}) for t in range(1, 6)
-    ]),
+    "exp6": {"wk": (8, 12), "cn": (15,)},
 }
 
 LOCAL_CELLS = [
     pytest.param(name, k, algo, opts, id=f"{exp}-{name}-{k}-{label}")
-    for exp, (cases, lineup) in LOCAL.items()
+    for exp, cases in LOCAL.items()
     for name, ks in cases.items()
     for k in ks
-    for label, algo, opts in lineup
+    for label, algo, opts in LINEUPS[exp]
 ]
 
 
 def _spark_cells():
-    """Exp 7 (Fig. 10): EBBkC+ET (edge units) vs VBBkC+ET with EP and NP
-    units on cn at k = 12, over 1, 4 and 16 tasks. Exp 9 (Fig. 12): the
-    three largest substitutes, EP units, 16 tasks, EBBkC+ET vs BitCol at
-    k = 4 and k = ω − 4."""
+    """Exp 7 (Fig. 10) on cn at k = 12, over 1, 4 and 16 tasks. Exp 9
+    (Fig. 12): the three largest substitutes, 16 tasks, at k = 4 and
+    k = ω − 4."""
     cells = [
-        pytest.param("cn", 12, algo, {**ET, "scheme": scheme}, n,
-                     id=f"exp7-cn-12-{label}-{n}")
-        for label, algo, scheme in [
-            ("EBBkC+ET", "ebbkc-h", "ep"),
-            ("VBBkC+ET-EP", "ddegcol", "ep"),
-            ("VBBkC+ET-NP", "ddegcol", "np"),
-        ]
+        pytest.param("cn", 12, algo, opts, n, id=f"exp7-cn-12-{label}-{n}")
+        for label, algo, opts in LINEUPS["exp7"]
         for n in (1, 4, 16)
     ]
     for name in SCALABILITY:
         for k in (4, graph_info(name)["omega"] - 4):
-            for label, algo, opts in [("EBBkC+ET", "ebbkc-h", ET), ("BitCol", "bitcol", {})]:
-                cells.append(pytest.param(name, k, algo, {**opts, "scheme": "ep"}, 16,
+            for label, algo, opts in LINEUPS["exp9"]:
+                cells.append(pytest.param(name, k, algo, opts, 16,
                                           id=f"exp9-{name}-{k}-{label}-16"))
     return cells
-
-
-def _opts(name: str, k: int, opts: dict) -> dict:
-    return {**opts, "et_t": policy_t(name, k)} if opts.get("et_t") == "policy" else opts
 
 
 @pytest.mark.parametrize("name,k,algo,opts", LOCAL_CELLS)
 def test_local(benchmark, name, k, algo, opts):
     g = graph_info(name)["g"]
-    opts = _opts(name, k, opts)
+    opts = lineup_opts(name, k, opts)
     count = benchmark.pedantic(lambda: run_local(g, k, algo, **opts), rounds=1, iterations=1)
     assert count >= 0
 
@@ -125,7 +91,7 @@ def cached_edges(spark):
 @pytest.mark.parametrize("name,k,algo,opts,n_tasks", _spark_cells())
 def test_spark(benchmark, spark, cached_edges, name, k, algo, opts, n_tasks):
     """Spark cells time listing, as the paper's times include output."""
-    edges, opts = cached_edges(name), _opts(name, k, opts)
+    edges, opts = cached_edges(name), lineup_opts(name, k, opts)
     count = benchmark.pedantic(
         lambda: count_kcliques(spark, edges, k, algo, n_tasks=n_tasks, closed_form=False, **opts),
         rounds=1,

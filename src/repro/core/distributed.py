@@ -18,28 +18,21 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.core import core_decomposition, oriented_edges_df
-from repro.graph.loader import collect_local
-
-
-def dag_df(edges: DataFrame, rank: dict[int, int] | None = None) -> DataFrame:
-    """Degeneracy-oriented DAG edge table → (src, dst)."""
-    if rank is None:
-        rank = core_decomposition(collect_local(edges)).rank
-    return oriented_edges_df(edges, rank)
+from repro.graph.core import oriented_edges_df
 
 
 def kcliques_df(
     edges: DataFrame, k: int, rank: dict[int, int] | None = None
 ) -> DataFrame:
-    """All k-cliques as rows (v1, ..., vk), ordered by the vertex rank.
+    """All k-cliques as rows (v1, ..., vk), ordered by the vertex rank
+    (by default the degeneracy ordering, see :func:`oriented_edges_df`).
 
     k ≥ 2. Round i joins the DAG on the last vertex to propose v_i, then
     closes v_j–v_i for every j < i − 1.
     """
     if k < 2:
         raise ValueError("kcliques_df requires k >= 2")
-    dag = dag_df(edges, rank)
+    dag = oriented_edges_df(edges, rank)
     cliques = dag.select(F.col("src").alias("v1"), F.col("dst").alias("v2"))
     for i in range(3, k + 1):
         step = dag.select(
@@ -53,11 +46,6 @@ def kcliques_df(
             cliques = cliques.join(close, [f"v{j}", f"v{i}"])
         cliques = cliques.select(*[f"v{x}" for x in range(1, i + 1)])
     return cliques.select(*[f"v{x}" for x in range(1, k + 1)])
-
-
-def kclique_count_df(edges: DataFrame, k: int, rank: dict[int, int] | None = None) -> int:
-    """Number of k-cliques via the DataFrame expansion."""
-    return kcliques_df(edges, k, rank).count()
 
 
 def kclique_sql(k: int, table: str = "dag") -> str:

@@ -9,11 +9,12 @@
   and also serves EBBkC-H's l = 2 branches that ET declines.
 * :func:`list_cliques_tplex` — kCtPlex (Algorithm 7): when the branch
   graph is a t-plex (t ≥ 3), branch on the sparse *inverse* graph,
-  with the all-adjacent vertex set I completed combinatorially.
-* :func:`count_cliques_2plex` / :func:`count_cliques_tplex` — the same
-  two procedures counting instead of listing: a 2-plex with f full
-  vertices and p non-adjacent pairs has Σ_j C(p, j)·2^j·C(f, l − j)
-  l-cliques, and kCtPlex finishes I with C(|I|, l₂).
+  with the all-adjacent vertex set I completed combinatorially. The one
+  recursion both lists and counts: into a :class:`CliqueCount` sink it
+  adds C(|I|, l₂) instead of emitting I's combinations.
+* :func:`count_cliques_2plex` — kC2Plex's count in closed form: a 2-plex
+  with f full vertices and p non-adjacent pairs has
+  Σ_j C(p, j)·2^j·C(f, l − j) l-cliques.
 * :func:`try_early_terminate` — the dispatch used inside the BB
   kernels: checks the branch graph's plexity against the threshold t
   and runs the matching procedure, returning True when it consumed the
@@ -23,8 +24,9 @@
 The listing procedures emit every clique (the paper's task is listing,
 and reported times include output) as a tuple of distinct vertices, in
 no particular order, to ``out`` (the engine's collecting sinks sort
-them). Only a :class:`CliqueCount` sink switches `early_terminate`
-to the closed-form counts; the Spark count path passes one.
+them). Only a :class:`CliqueCount` sink switches early termination to
+counting (kC2Plex's closed form, kCtPlex's C(|I|, l₂)); the Spark count
+path passes one.
 """
 from __future__ import annotations
 
@@ -121,22 +123,22 @@ def list_cliques_tplex(
 ) -> None:
     """kCtPlex: emit S ∪ C for every l-clique C of the t-plex (verts, adj),
     branching on the inverse graph (Eq. 9) with the all-adjacent set I
-    handled by direct combination enumeration."""
+    completed by :func:`_combine`: its l₂-subsets are emitted, or counted
+    as C(|I|, l₂) into a :class:`CliqueCount` sink. At l₂ = 1 the
+    remaining candidates join I, as every vertex closes a clique."""
     if l <= 0:
         if l == 0:
             out(s)
         return
     inv = inverse_adj(verts, adj)
     i_set = sorted(v for v in verts if not inv[v])
-    c0 = sorted(verts - set(i_set))
+    c0 = sorted(v for v in verts if inv[v])
 
     def rec(s2: tuple[int, ...], c: list[int], l2: int) -> None:
-        if l2 == 0:
-            out(s2)
+        if l2 == 1:
+            _combine(s2, i_set + c, 1, out)
             return
-        if len(i_set) >= l2:
-            for i_sub in combinations(i_set, l2):
-                out(s2 + i_sub)
+        _combine(s2, i_set, l2, out)
         for i, v in enumerate(c):
             non_nb = inv[v]
             ci = [w for w in c[i + 1 :] if w not in non_nb]
@@ -144,6 +146,16 @@ def list_cliques_tplex(
                 rec(s2 + (v,), ci, l2 - 1)
 
     rec(s, c0, l)
+
+
+def _combine(s: tuple[int, ...], pool: list[int], r: int, out: Out) -> None:
+    """Emit S ∪ R for every r-subset R of the clique ``pool``, or add
+    their number C(|pool|, r) to a :class:`CliqueCount` sink."""
+    if type(out) is CliqueCount:
+        out.n += comb(len(pool), r)
+    else:
+        for sub in combinations(pool, r):
+            out(s + sub)
 
 
 def count_cliques_2plex(n_full: int, n_pairs: int, l: int) -> int:
@@ -154,32 +166,6 @@ def count_cliques_2plex(n_full: int, n_pairs: int, l: int) -> int:
         comb(n_pairs, j) * 2**j * comb(n_full, l - j)
         for j in range(min(n_pairs, l) + 1)
     )
-
-
-def count_cliques_tplex(verts: set[int], adj: dict[int, set[int]], l: int) -> int:
-    """Number of l-cliques of the t-plex (verts, adj): kCtPlex's branching
-    over the inverse graph, with C(|I|, l₂) in place of enumerating the
-    all-adjacent set I."""
-    if l < 0:
-        return 0
-    inv = inverse_adj(verts, adj)
-    n_i = sum(1 for v in verts if not inv[v])
-    c0 = sorted(v for v in verts if inv[v])
-
-    def rec(c: list[int], l2: int) -> int:
-        if l2 == 0:
-            return 1
-        if l2 == 1:
-            return n_i + len(c)
-        n = comb(n_i, l2)
-        for i, v in enumerate(c):
-            non_nb = inv[v]
-            ci = [w for w in c[i + 1 :] if w not in non_nb]
-            if len(ci) + n_i >= l2 - 1:
-                n += rec(ci, l2 - 1)
-        return n
-
-    return rec(c0, l)
 
 
 def _plex_scan(
@@ -244,18 +230,16 @@ def early_terminate(
     """List the l-cliques of the non-empty t-plex (verts, adj) whose
     ``scan`` = (min degree, number of full vertices) the caller already
     holds: kC2Plex when t ≤ 2, else kCtPlex. When ``out`` is a
-    :class:`CliqueCount`, add their number to ``out.n`` instead."""
+    :class:`CliqueCount`, add their number to ``out.n`` instead (for a
+    2-plex by :func:`count_cliques_2plex`)."""
     min_deg, n_full = scan
     n = len(verts)
-    if type(out) is CliqueCount:
-        if n - min_deg <= 2:
-            out.n += count_cliques_2plex(n_full, (n - n_full) // 2, l)
-        else:
-            out.n += count_cliques_tplex(verts, adj, l)
-    elif n - min_deg <= 2:
-        list_cliques_2plex(s, verts, adj, l, out)
-    else:
+    if n - min_deg > 2:
         list_cliques_tplex(s, verts, adj, l, out)
+    elif type(out) is CliqueCount:
+        out.n += count_cliques_2plex(n_full, (n - n_full) // 2, l)
+    else:
+        list_cliques_2plex(s, verts, adj, l, out)
 
 
 def default_t_threshold(k: int, tau_val: int) -> int:

@@ -105,63 +105,84 @@ def timed_local(name: str, k: int, algo: str, **opts) -> dict:
 # Algorithm line-ups
 # --------------------------------------------------------------------------
 
+# Options of an entry that takes the paper's ET threshold for its dataset
+# and k (`policy_t`); `lineup_opts` resolves it.
+ET = {"et_t": "policy"}
+MAIN = [
+    ("EBBkC+ET", "ebbkc-h", ET),
+    ("DDegCol", "ddegcol", {}),
+    ("DDegree", "ddegree", {}),
+    ("SDegree", "sdegree", {}),
+    ("BitCol", "bitcol", {}),
+]
+T_SWEEP = (1, 2, 3, 4, 5)
 
-def _main_lineup(name: str, k: int):
-    """Experiments 1/2: EBBkC+ET vs the four VBBkC baselines."""
-    return [
-        ("EBBkC+ET", "ebbkc-h", {"et_t": policy_t(name, k)}),
-        ("DDegCol", "ddegcol", {}),
-        ("DDegree", "ddegree", {}),
-        ("SDegree", "sdegree", {}),
-        ("BitCol", "bitcol", {}),
-    ]
+
+def _t_lineup(ts) -> list:
+    """EBBkC-H under each ET threshold t of ``ts``."""
+    return [(f"t={t}", "ebbkc-h", {"et_t": t}) for t in ts]
 
 
-def _ablation_lineup(name: str, k: int):
-    """Experiment 3: EBBkC±ET vs the Rule-2-augmented VBBkC SOTA."""
-    return [
-        ("EBBkC+ET", "ebbkc-h", {"et_t": policy_t(name, k)}),
+# experiment → [(label, algorithm, options)]: each line-up, once; the
+# sweeps below and ``benchmarks/bench_experiments.py`` read them.
+LINEUPS = {
+    # Exps 1/2 (Figs. 4/5): EBBkC+ET vs the four VBBkC baselines.
+    "exp1": MAIN,
+    "exp2": MAIN,
+    # Exp 3 (Fig. 6/14): EBBkC±ET vs the Rule-2-augmented VBBkC SOTA.
+    "exp3": [
+        ("EBBkC+ET", "ebbkc-h", ET),
         ("EBBkC", "ebbkc-h", {}),
         ("DDegCol+", "ddegcol", {"rule2": True}),
         ("BitCol+", "bitcol", {"rule2": True}),
-    ]
+    ],
+    # Exp 4 (Fig. 7): the three edge orderings, all pruned, all +ET.
+    "exp4": [
+        ("EBBkC-T+ET", "ebbkc-t", ET),
+        ("EBBkC-C+ET", "ebbkc-c", ET),
+        ("EBBkC-H+ET", "ebbkc-h", ET),
+    ],
+    # Exp 5 (Fig. 8/15): with vs without the paper's new Rule (2).
+    "exp5": [
+        ("EBBkC+ET", "ebbkc-h", {**ET, "rule2": True}),
+        ("EBBkC(stc)+ET", "ebbkc-h", {**ET, "rule2": False}),
+    ],
+    # Exp 6 (Fig. 9): the ET threshold t.
+    "exp6": _t_lineup(T_SWEEP),
+    # Exp 7 (Fig. 10): EBBkC+ET (edge units) vs VBBkC+ET with EP and NP units.
+    "exp7": [
+        ("EBBkC+ET", "ebbkc-h", {**ET, "scheme": "ep"}),
+        ("VBBkC+ET (EP)", "ddegcol", {**ET, "scheme": "ep"}),
+        ("VBBkC+ET (NP)", "ddegcol", {**ET, "scheme": "np"}),
+    ],
+    # Exp 9 (Fig. 12): EP units at maximum parallelism.
+    "exp9": [
+        ("EBBkC+ET", "ebbkc-h", {**ET, "scheme": "ep"}),
+        ("BitCol", "bitcol", {"scheme": "ep"}),
+    ],
+}
 
 
-def _ordering_lineup(name: str, k: int):
-    """Experiment 4: the three edge orderings, all pruned, all +ET."""
-    t = policy_t(name, k)
-    return [
-        ("EBBkC-T+ET", "ebbkc-t", {"et_t": t}),
-        ("EBBkC-C+ET", "ebbkc-c", {"et_t": t}),
-        ("EBBkC-H+ET", "ebbkc-h", {"et_t": t}),
-    ]
-
-
-def _rule2_lineup(name: str, k: int):
-    """Experiment 5: with vs without the paper's new Rule (2)."""
-    t = policy_t(name, k)
-    return [
-        ("EBBkC+ET", "ebbkc-h", {"et_t": t, "rule2": True}),
-        ("EBBkC(stc)+ET", "ebbkc-h", {"et_t": t, "rule2": False}),
-    ]
+def lineup_opts(name: str, k: int, opts: dict) -> dict:
+    """A line-up entry's options for dataset/k, with ``et_t="policy"``
+    replaced by the paper's threshold."""
+    return {**opts, "et_t": policy_t(name, k)} if opts.get("et_t") == "policy" else opts
 
 
 def _ks_for(name: str, ks) -> list[int]:
-    """Resolve a sweep's k values: ``ks`` may be None (default sweep),
-    a dict {dataset: [k, ...]}, or a callable name → [k, ...]."""
-    if ks is None:
-        return sweep_ks(name)
-    if isinstance(ks, dict):
-        return ks[name]
-    return ks(name)
+    """Resolve a sweep's k values: ``ks`` is None (default sweep) or a
+    dict {dataset: [k, ...]}."""
+    return sweep_ks(name) if ks is None else ks[name]
 
 
-def _sweep(datasets, ks, lineup_fn) -> list[dict]:
+def _sweep(datasets, ks, lineup) -> list[dict]:
     rows = []
     for name in datasets:
         for k in _ks_for(name, ks):
-            for label, algo, opts in lineup_fn(name, k):
-                rows.append({**timed_local(name, k, algo, **opts), "algo": label})
+            for label, algo, opts in lineup:
+                rows.append(
+                    {**timed_local(name, k, algo, **lineup_opts(name, k, opts)), "algo": label}
+                )
     return rows
 
 
@@ -199,44 +220,37 @@ def table2_rows(datasets=("wk", "po", "st", "or")) -> list[dict]:
 @_table("exp1", "Experiment 1 — small-ω comparison (k = 4..ω)", LOCAL_COLUMNS)
 def exp1_rows(datasets=("wk", "po", "cn", "ba"), ks=None) -> list[dict]:
     """Experiment 1 (Fig. 4): small-ω comparison, k = 4..ω."""
-    return _sweep(datasets, ks, _main_lineup)
+    return _sweep(datasets, ks, LINEUPS["exp1"])
 
 
 @_table("exp2", "Experiment 2 — large-ω comparison (small k + near-ω k)", LOCAL_COLUMNS)
 def exp2_rows(datasets=("st", "or", "db"), ks=None) -> list[dict]:
     """Experiment 2 (Fig. 5): large-ω comparison, small k + near-ω k."""
-    return _sweep(datasets, ks, _main_lineup)
+    return _sweep(datasets, ks, LINEUPS["exp2"])
 
 
 @_table("exp3", "Experiment 3 — ablation", LOCAL_COLUMNS)
 def exp3_rows(datasets=("wk", "st"), ks=None) -> list[dict]:
     """Experiment 3 (Fig. 6/14): ablation of framework vs ET."""
-    return _sweep(datasets, ks, _ablation_lineup)
+    return _sweep(datasets, ks, LINEUPS["exp3"])
 
 
 @_table("exp4", "Experiment 4 — edge orderings", LOCAL_COLUMNS)
 def exp4_rows(datasets=("wk", "or"), ks=None) -> list[dict]:
     """Experiment 4 (Fig. 7): truss vs color vs hybrid edge ordering."""
-    return _sweep(datasets, ks, _ordering_lineup)
+    return _sweep(datasets, ks, LINEUPS["exp4"])
 
 
 @_table("exp5", "Experiment 5 — pruning Rule (2)", LOCAL_COLUMNS)
 def exp5_rows(datasets=("wk", "or"), ks=None) -> list[dict]:
     """Experiment 5 (Fig. 8/15): effect of pruning Rule (2)."""
-    return _sweep(datasets, ks, _rule2_lineup)
+    return _sweep(datasets, ks, LINEUPS["exp5"])
 
 
 @_table("exp6", "Experiment 6 — ET threshold t", LOCAL_COLUMNS)
-def exp6_rows(datasets=("wk", "cn"), ks=None, ts=(1, 2, 3, 4, 5)) -> list[dict]:
+def exp6_rows(datasets=("wk", "cn"), ks=None, ts=T_SWEEP) -> list[dict]:
     """Experiment 6 (Fig. 9): ET threshold sweep t ∈ {1..5}."""
-    rows = []
-    for name in datasets:
-        for k in _ks_for(name, ks):
-            for t in ts:
-                rows.append(
-                    {**timed_local(name, k, "ebbkc-h", et_t=t), "algo": f"t={t}"}
-                )
-    return rows
+    return _sweep(datasets, ks, _t_lineup(ts))
 
 
 @_table("exp8", "Experiment 8 — space costs", ["dataset", "algo", "bytes", "graph_bytes"])
@@ -273,21 +287,15 @@ def exp7_rows(
 ) -> list[dict]:
     """Experiment 7 (Fig. 10): parallel schemes — EBBkC+ET (edge units)
     vs VBBkC+ET with EP and NP units — across task counts."""
-    info = graph_info(dataset)
-    edges = to_spark(spark, info["g"]).cache()
+    edges = to_spark(spark, graph_info(dataset)["g"]).cache()
     edges.count()
-    t = default_t_threshold(k, info["tau"])
     rows = []
     for n_tasks in task_counts:
-        for label, algo, scheme in [
-            ("EBBkC+ET", "ebbkc-h", "ep"),
-            ("VBBkC+ET (EP)", "ddegcol", "ep"),
-            ("VBBkC+ET (NP)", "ddegcol", "np"),
-        ]:
+        for label, algo, opts in LINEUPS["exp7"]:
             t0 = time.perf_counter()
             count = count_kcliques(
-                spark, edges, k, algo, scheme=scheme, n_tasks=n_tasks, et_t=t,
-                closed_form=False,
+                spark, edges, k, algo, n_tasks=n_tasks, closed_form=False,
+                **lineup_opts(dataset, k, opts),
             )
             rows.append(
                 {
@@ -318,14 +326,11 @@ def exp9_rows(
         edges.count()
         omega = info["omega"]
         for k in (4, omega - 4):
-            for label, algo, opts in [
-                ("EBBkC+ET", "ebbkc-h", {"et_t": default_t_threshold(k, info["tau"])}),
-                ("BitCol", "bitcol", {}),
-            ]:
+            for label, algo, opts in LINEUPS["exp9"]:
                 t0 = time.perf_counter()
                 count = count_kcliques(
-                    spark, edges, k, algo, scheme="ep", n_tasks=n_tasks,
-                    closed_form=False, **opts
+                    spark, edges, k, algo, n_tasks=n_tasks, closed_form=False,
+                    **lineup_opts(name, k, opts),
                 )
                 rows.append(
                     {

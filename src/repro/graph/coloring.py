@@ -72,8 +72,3 @@ def subgraph_color_ordering(adj: dict[int, set[int]]) -> ColorOrdering:
     coloring is applied directly.
     """
     return _by_color(adj, _greedy(degree_order(adj), adj))
-
-
-def is_proper(g: LocalGraph, col: dict[int, int]) -> bool:
-    """True iff no edge joins two vertices of the same color."""
-    return all(col[u] != col[v] for u, v in zip(g.us.tolist(), g.vs.tolist()))

@@ -1,11 +1,12 @@
-"""Degrees, k-core decomposition, the degeneracy ordering and the DAG
+"""The k-core decomposition, the degeneracy ordering and the DAG
 orientation every vertex ordering shares (:func:`orient`).
 
-Degrees are computed distributed (DataFrame groupBy over the symmetric
-edge view). The peel itself — repeatedly remove a minimum-degree vertex —
-is inherently sequential, so it runs on the driver with an O(n + m)
-bucket queue over the collected (small) graph, exactly as every
-published distributed k-clique system does for its preprocessing.
+The peel — repeatedly remove a minimum-degree vertex — is inherently
+sequential, so it runs on the driver with an O(n + m) bucket queue over
+the collected (small) graph, exactly as every published distributed
+k-clique system does for its preprocessing. :func:`oriented_edges_df`
+is the same orientation as a Spark DataFrame, for the pure-DataFrame
+lister and triangle dataflow.
 """
 from __future__ import annotations
 
@@ -15,21 +16,7 @@ from typing import Iterable
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .loader import LocalGraph
-
-
-def degrees_df(edges: DataFrame) -> DataFrame:
-    """Per-vertex degree of a normalized edge table → (v, degree)."""
-    sym = edges.select(F.col("u").alias("v")).unionAll(
-        edges.select(F.col("v").alias("v"))
-    )
-    return sym.groupBy("v").agg(F.count("*").cast("long").alias("degree"))
-
-
-def max_degree(edges: DataFrame) -> int:
-    """Δ — the maximum degree (0 for an empty graph)."""
-    row = degrees_df(edges).agg(F.max("degree").alias("d")).collect()[0]
-    return int(row["d"]) if row["d"] is not None else 0
+from .loader import LocalGraph, collect_local
 
 
 @dataclass
@@ -97,12 +84,6 @@ def degeneracy(g: LocalGraph) -> int:
     return core_decomposition(g).degeneracy
 
 
-def k_core(g: LocalGraph, k: int) -> set[int]:
-    """Vertex set of the k-core (possibly empty)."""
-    dec = core_decomposition(g)
-    return {v for v, c in dec.core_number.items() if c >= k}
-
-
 def orient(
     order: Iterable[int], adj: dict[int, set[int]]
 ) -> tuple[dict[int, int], dict[int, set[int]]]:
@@ -132,12 +113,15 @@ def degeneracy_dag(g: LocalGraph) -> tuple[list[int], dict[int, set[int]]]:
     return order, orient(order, g.adj)[1]
 
 
-def oriented_edges_df(edges: DataFrame, rank: dict[int, int]) -> DataFrame:
+def oriented_edges_df(edges: DataFrame, rank: dict[int, int] | None = None) -> DataFrame:
     """DataFrame DAG view: each undirected edge oriented low-rank → high-rank.
 
-    ``rank`` is any total vertex order (degeneracy or color position).
+    ``rank`` is any total vertex order (degeneracy or color position);
+    it defaults to the degeneracy ordering of the collected graph.
     Used by the pure-DataFrame lister and the triangle dataflow.
     """
+    if rank is None:
+        rank = core_decomposition(collect_local(edges)).rank
     spark = edges.sparkSession
     import pandas as pd
 

@@ -8,12 +8,6 @@ graph g_inv (edge ⇔ non-edge) is what kCtPlex branches on.
 from __future__ import annotations
 
 
-def induced_adj(verts: set[int], adj: dict[int, set[int]]) -> dict[int, set[int]]:
-    """Adjacency of the subgraph induced by ``verts`` (restricting a
-    super-graph adjacency)."""
-    return {v: adj[v] & verts for v in verts}
-
-
 def plexity(verts: set[int], adj: dict[int, set[int]]) -> int:
     """Smallest t such that the induced subgraph is a t-plex.
 
@@ -41,12 +35,12 @@ def partition_2plex(
     of pair i. Each of F, L, R induces a clique. Raises ValueError when
     the graph is not a 2-plex.
     """
-    local = induced_adj(verts, adj)
+    inv = inverse_adj(verts, adj)
     n = len(verts)
     f: list[int] = []
     pairs: dict[int, int] = {}
     for v in sorted(verts):
-        missing = verts - local[v] - {v}
+        missing = inv[v]
         if len(missing) == 0:
             f.append(v)
         elif len(missing) == 1:

@@ -1,46 +1,37 @@
 """Graph statistics — the reproduction of Table 1.
 
 For each dataset (substitute): |V|, |E|, max degree Δ, degeneracy δ,
-truss number τ and maximum clique size ω. Δ comes from the distributed
-degree dataflow when a SparkSession is supplied; δ/τ/ω use the driver
-substrate (the peels are sequential by nature).
+truss number τ and maximum clique size ω, all on the driver substrate
+(the peels are sequential by nature).
 """
 from __future__ import annotations
 
-from typing import Optional
-
-from pyspark.sql import SparkSession
-
-from .core import core_decomposition, max_degree
+from .core import core_decomposition
 from .datasets import DATASETS, load
-from .loader import LocalGraph, to_spark
+from .loader import LocalGraph
 from .maxclique import max_clique_size
 from .truss import truss_decomposition
 
 
-def compute_stats(g: LocalGraph, spark: Optional[SparkSession] = None) -> dict:
+def compute_stats(g: LocalGraph) -> dict:
     """n, m, Δ, δ, τ, ω of a graph."""
-    if spark is not None:
-        delta_max = max_degree(to_spark(spark, g))
-    else:
-        delta_max = max((len(nb) for nb in g.adj.values()), default=0)
     return {
         "n": g.n,
         "m": g.m,
-        "max_deg": delta_max,
+        "max_deg": max((len(nb) for nb in g.adj.values()), default=0),
         "delta": core_decomposition(g).degeneracy,
         "tau": truss_decomposition(g).tau,
         "omega": max_clique_size(g),
     }
 
 
-def table1_rows(names=None, spark: Optional[SparkSession] = None) -> list[dict]:
+def table1_rows(names=None) -> list[dict]:
     """Table 1 rows: per dataset, the paper's published stats next to the
     substitute's measured stats."""
     rows = []
     for name in names or DATASETS:
         spec = DATASETS[name]
-        ours = compute_stats(load(name), spark)
+        ours = compute_stats(load(name))
         rows.append(
             {
                 "name": name,

@@ -22,18 +22,16 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .core import core_decomposition, oriented_edges_df
-from .loader import LocalGraph, collect_local
+from .core import oriented_edges_df
+from .loader import LocalGraph
 
 
 def triangles_df(edges: DataFrame, rank: dict[int, int] | None = None) -> DataFrame:
     """All triangles of a normalized edge table → (a, b, c), rank-ascending.
 
-    ``rank`` defaults to the degeneracy ordering of the collected graph;
-    pass one to avoid recomputation.
+    ``rank`` defaults to the degeneracy ordering of the collected graph
+    (see :func:`oriented_edges_df`); pass one to avoid recomputation.
     """
-    if rank is None:
-        rank = core_decomposition(collect_local(edges)).rank
     dag = oriented_edges_df(edges, rank)
     e1 = dag.select(F.col("src").alias("a"), F.col("dst").alias("b"))
     e2 = dag.select(F.col("src").alias("a"), F.col("dst").alias("c"))
@@ -43,11 +41,6 @@ def triangles_df(edges: DataFrame, rank: dict[int, int] | None = None) -> DataFr
     # b, c are both out-neighbors of a; the closing edge fixes b before c
     # in rank order, so (a, b, c) is rank-ascending and unique.
     return tri.select("a", "b", "c")
-
-
-def triangle_count(edges: DataFrame) -> int:
-    """Number of triangles in the graph."""
-    return triangles_df(edges).count()
 
 
 _WEDGES = 1 << 14

@@ -5,7 +5,6 @@ from repro.graph import generators as G
 from repro.graph.coloring import (
     color_ordering,
     greedy_coloring,
-    is_proper,
     subgraph_color_ordering,
 )
 from repro.graph.core import degeneracy, degeneracy_dag, degree_order, orient
@@ -14,7 +13,8 @@ from repro.graph.core import degeneracy, degeneracy_dag, degree_order, orient
 @pytest.mark.parametrize("seed", range(4))
 def test_coloring_is_proper(seed):
     g = G.erdos_renyi(40, 0.3, seed=seed)
-    assert is_proper(g, greedy_coloring(g))
+    col = greedy_coloring(g)
+    assert all(col[u] != col[v] for u, v in g.edge_list())
 
 
 def test_coloring_bounded_by_degeneracy_plus_one():

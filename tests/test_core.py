@@ -6,9 +6,6 @@ from repro.graph.core import (
     core_decomposition,
     degeneracy,
     degeneracy_dag,
-    degrees_df,
-    k_core,
-    max_degree,
     oriented_edges_df,
 )
 from repro.graph.loader import collect_local, to_spark
@@ -54,15 +51,19 @@ def test_degeneracy_order_property():
         assert len(later) <= dec.degeneracy
 
 
+def _k_core(g, k):
+    return {v for v, c in core_decomposition(g).core_number.items() if c >= k}
+
+
 def test_k_core_cycle():
     g = G.cycle_graph(7)
-    assert k_core(g, 2) == set(g.adj)
-    assert k_core(g, 3) == set()
+    assert _k_core(g, 2) == set(g.adj)
+    assert _k_core(g, 3) == set()
 
 
 def test_k_core_planted():
     g = G.planted_cliques(100, 0.01, [10], seed=2)
-    core9 = k_core(g, 9)
+    core9 = _k_core(g, 9)
     assert len(core9) >= 10  # the planted clique survives
 
 
@@ -73,24 +74,6 @@ def test_degeneracy_dag_sizes():
     assert order == dec.order
     assert all(len(nb) <= dec.degeneracy for nb in out.values())
     assert sum(len(nb) for nb in out.values()) == g.m
-
-
-def test_degrees_df_matches_local(spark):
-    g = G.barabasi_albert(80, 4, seed=7)
-    e = to_spark(spark, g)
-    got = {int(r["v"]): int(r["degree"]) for r in degrees_df(e).collect()}
-    assert got == {v: len(nb) for v, nb in g.adj.items()}
-
-
-def test_max_degree(spark):
-    g = G.star_graph(12)
-    assert max_degree(to_spark(spark, g)) == 12
-
-
-def test_max_degree_empty(spark):
-    from repro.graph.loader import edges_from_pairs
-
-    assert max_degree(edges_from_pairs(spark, [])) == 0
 
 
 def test_oriented_edges_df_is_dag(spark):

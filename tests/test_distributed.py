@@ -2,9 +2,9 @@
 import pytest
 
 from repro.core.bruteforce import brute_force_count, brute_force_kcliques
-from repro.core.distributed import dag_df, kclique_count_df, kclique_sql, kcliques_df
+from repro.core.distributed import kclique_sql, kcliques_df
 from repro.graph import generators as G
-from repro.graph.core import core_decomposition
+from repro.graph.core import core_decomposition, oriented_edges_df
 from repro.graph.loader import to_spark
 from repro.oracle import assert_equivalent
 
@@ -23,7 +23,7 @@ def edges(spark, graph):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_count_matches_brute_force(spark, graph, edges, k):
-    assert kclique_count_df(edges, k) == brute_force_count(graph, k)
+    assert kcliques_df(edges, k).count() == brute_force_count(graph, k)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -31,7 +31,7 @@ def test_oracle_equivalence(spark, graph, edges, k):
     """Spark's multi-join plan vs DuckDB running the same SQL — the
     mandated result-equality check for the dataflow lister."""
     rank = core_decomposition(graph).rank
-    dag = dag_df(edges, rank)
+    dag = oriented_edges_df(edges, rank)
     got = kcliques_df(edges, k, rank)
     assert_equivalent(got, kclique_sql(k), dag=dag)
 
@@ -41,7 +41,7 @@ def test_oracle_catches_wrong_result(spark, graph, edges):
     rank = core_decomposition(graph).rank
     got = kcliques_df(edges, 4, rank)
     with pytest.raises(AssertionError):
-        assert_equivalent(got.exceptAll(got.limit(1)), kclique_sql(4), dag=dag_df(edges, rank))
+        assert_equivalent(got.exceptAll(got.limit(1)), kclique_sql(4), dag=oriented_edges_df(edges, rank))
 
 
 def test_rows_are_cliques(spark, graph, edges):
@@ -54,7 +54,7 @@ def test_rows_are_cliques(spark, graph, edges):
 
 def test_triangle_free_graph_empty(spark):
     e = to_spark(spark, G.complete_bipartite(4, 4))
-    assert kclique_count_df(e, 3) == 0
+    assert kcliques_df(e, 3).count() == 0
 
 
 def test_k_less_than_two_raises(spark, edges):
@@ -65,7 +65,7 @@ def test_k_less_than_two_raises(spark, edges):
 
 
 def test_dag_has_m_edges(spark, graph, edges):
-    assert dag_df(edges).count() == graph.m
+    assert oriented_edges_df(edges).count() == graph.m
 
 
 def test_kclique_sql_text():

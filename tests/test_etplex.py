@@ -8,7 +8,6 @@ from repro.core.bruteforce import brute_force_in_subset
 from repro.core.etplex import (
     CliqueCount,
     count_cliques_2plex,
-    count_cliques_tplex,
     default_t_threshold,
     list_cliques_2plex,
     list_cliques_tplex,
@@ -22,6 +21,13 @@ from repro.graph.plex import partition_2plex, plexity
 
 def _norm(cliques):
     return sorted(tuple(sorted(c)) for c in cliques)
+
+
+def _tplex_count(verts, adj, l):
+    """kCtPlex into a CliqueCount sink: the number of l-cliques."""
+    sink = CliqueCount()
+    list_cliques_tplex((), verts, adj, l, sink)
+    return sink.n
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -108,7 +114,7 @@ def test_kctplex_matches_brute_force(seed, t):
         list_cliques_tplex((), verts, g.adj, l, got.append)
         if l:
             assert _norm(got) == _norm(brute_force_in_subset(g, verts, l))
-        assert count_cliques_tplex(verts, g.adj, l) == len(got)
+        assert _tplex_count(verts, g.adj, l) == len(got)
 
 
 def test_kctplex_handles_all_adjacent_set():
@@ -118,7 +124,7 @@ def test_kctplex_handles_all_adjacent_set():
     got = []
     list_cliques_tplex((), set(g.adj), g.adj, 3, got.append)
     assert len(got) == 20  # C(6,3)
-    assert count_cliques_tplex(set(g.adj), g.adj, 3) == 20
+    assert _tplex_count(set(g.adj), g.adj, 3) == 20
 
 
 # K_8 minus 01, 02, 13: a 3-plex whose all-adjacent set I = {4..7}.
@@ -137,7 +143,7 @@ def test_kctplex_count_with_all_adjacent_set():
         list_cliques_tplex((), verts, g.adj, l, got.append)
         if l:
             assert _norm(got) == _norm(brute_force_in_subset(g, verts, l))
-        assert count_cliques_tplex(verts, g.adj, l) == len(got)
+        assert _tplex_count(verts, g.adj, l) == len(got)
 
 
 def test_kctplex_on_sparse_2plex_still_correct():
@@ -164,13 +170,15 @@ def test_try_early_terminate_rejects_sparse():
     assert sink.n == 5
 
 
-def _et_list_and_count(g, l, t_max):
-    """try_early_terminate with a listing sink and with a CliqueCount that
-    already holds 7 cliques: (listed cliques, cliques the count added)."""
+def _et_list_and_count(g, l, t_max, verts=None):
+    """try_early_terminate on ``verts`` (default: all of g) with a listing
+    sink and with a CliqueCount that already holds 7 cliques: (listed
+    cliques, cliques the count added)."""
+    verts = set(g.adj) if verts is None else verts
     got, sink = [], CliqueCount()
     sink.n = 7
-    assert try_early_terminate((), set(g.adj), g.adj, l, t_max, got.append)
-    assert try_early_terminate((), set(g.adj), g.adj, l, t_max, sink)
+    assert try_early_terminate((), verts, g.adj, l, t_max, got.append)
+    assert try_early_terminate((), verts, g.adj, l, t_max, sink)
     return got, sink.n - 7
 
 
@@ -185,6 +193,33 @@ def test_try_early_terminate_dispatches_tplex():
     for g, t_max in ((G.random_t_plex(9, 4, seed=2), 4), (PLEX3_WITH_I, 3)):
         got, added = _et_list_and_count(g, 3, t_max)
         assert _norm(got) == _norm(brute_force_in_subset(g, set(g.adj), 3))
+        assert added == len(got)
+
+
+# PLEX3_WITH_I inside a larger graph: vertices 8 and 9 are joined to
+# everything, so the rows of {0..7} are strict supersets of the branch,
+# as the `rem` rows EBBkC-H passes are.
+PLEX3_IN_LARGER = LocalGraph.from_pairs(
+    PLEX3_WITH_I.edge_list() + [(v, x) for x in (8, 9) for v in range(x)]
+)
+
+
+@pytest.mark.parametrize(
+    "g,verts,t_max",
+    [
+        (PLEX3_IN_LARGER, set(range(8)), 3),
+        (G.random_t_plex(13, 4, seed=5), set(range(10)), 4),
+    ],
+    ids=["plex3-with-I", "random-4plex"],
+)
+def test_try_early_terminate_tplex_superset_rows(g, verts, t_max):
+    """kCtPlex on a t ≥ 3 plex whose rows reach outside ``verts``: the
+    listing is the branch's cliques and the count adds exactly as many."""
+    assert plexity(verts, g.adj) >= 3
+    assert all(g.adj[v] - verts for v in verts)
+    for l in range(1, len(verts) + 2):
+        got, added = _et_list_and_count(g, l, t_max, verts)
+        assert _norm(got) == _norm(brute_force_in_subset(g, verts, l))
         assert added == len(got)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from repro.graph import generators as G
 from repro.graph.plex import (
-    induced_adj,
     inverse_adj,
     partition_2plex,
     plexity,
@@ -27,12 +26,6 @@ def test_plexity_known_2plex():
 def test_plexity_cycle():
     g = G.cycle_graph(6)
     assert plexity(set(g.adj), g.adj) == 6 - 2
-
-
-def test_induced_adj_restricts():
-    g = G.complete_graph(5)
-    sub = induced_adj({0, 1, 2}, g.adj)
-    assert sub == {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
 
 
 def test_inverse_adj_complement():

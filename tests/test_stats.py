@@ -14,11 +14,6 @@ def test_compute_stats_bipartite():
     assert s["max_deg"] == 6
 
 
-def test_compute_stats_with_spark(spark):
-    s = compute_stats(G.star_graph(9), spark)
-    assert s["max_deg"] == 9 and s["delta"] == 1
-
-
 def test_table1_rows_shape():
     rows = table1_rows(names=["wk", "st"])
     assert len(rows) == 2
