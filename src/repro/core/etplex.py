@@ -1,12 +1,14 @@
 """Early-termination procedures (Section 5).
 
 * :func:`list_cliques_2plex` — kC2Plex (Algorithm 6): when the branch
-  graph is a clique or 2-plex, partition its vertices into F / L / R
-  (each inducing a clique; L[i]–R[i] are the non-adjacent pairs) and
-  enumerate l-cliques combinatorially — nearly output-optimal. At
-  l ≤ 2 there is nothing to combine: it lists the branch's vertices, or
-  its edges with :func:`list_edges`, which probes each vertex pair once
-  and also serves EBBkC-H's l = 2 branches that ET declines.
+  graph is a clique or 2-plex, read its full vertices F and its
+  non-adjacent pairs off the inverse graph and walk the closed form's
+  sum: for each j, every j pairs, one member of each, and every
+  (l − j)-subset of F. Starting at j = l − |F|, every choice closes a
+  clique — nearly output-optimal. At l ≤ 2 there is nothing to combine:
+  it lists the branch's vertices, or its edges with :func:`list_edges`,
+  which probes each vertex pair once and also serves EBBkC-H's l = 2
+  branches that ET declines.
 * :func:`list_cliques_tplex` — kCtPlex (Algorithm 7): when the branch
   graph is a t-plex (t ≥ 3), branch on the sparse *inverse* graph,
   with the all-adjacent vertex set I completed combinatorially. The one
@@ -30,7 +32,7 @@ path passes one.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Callable
 
@@ -73,12 +75,15 @@ def list_cliques_2plex(
     l: int,
     out: Out,
 ) -> None:
-    """kC2Plex: emit S ∪ C for every l-clique C of the 2-plex (verts, adj).
+    """kC2Plex: emit S ∪ C for every l-clique C of the 2-plex (verts, adj),
+    one term of :func:`count_cliques_2plex` at a time; F's share is
+    completed by :func:`_combine`, so a :class:`CliqueCount` sink adds
+    C(|F|, l − j) per choice of pair members.
 
-    ``adj`` is the *branch* adjacency (already restricted; values may be
-    supersets — they are intersected with ``verts``). At l ≤ 2 the
-    l-cliques are the vertices or the edges, listed directly (the edges
-    by :func:`list_edges`); the F / L / R partition would give the same.
+    ``adj`` is the *branch* adjacency (values may be supersets — they are
+    intersected with ``verts``). At l ≤ 2 the l-cliques are the vertices
+    or the edges, listed directly (the edges by :func:`list_edges`); the
+    partition would give the same.
     """
     if l <= 2:
         if l == 2:
@@ -89,29 +94,13 @@ def list_cliques_2plex(
         elif l == 0:
             out(s)
         return
-    f, left, right = partition_2plex(verts, adj)
-    if len(f) + len(left) < l:
-        return
-    n_pairs = len(left)
-    n_f = len(f)
-    # Loop order puts the (C-implemented) F-combinations innermost and
-    # hoists the pair bookkeeping: r_avail depends only on the chosen
-    # L-subset, and c1 is determined by (c2, c3).
-    for c2 in range(0, min(l, n_pairs) + 1):
-        for idxs in combinations(range(n_pairs), c2):
-            l_sub = tuple(left[i] for i in idxs)
-            chosen = set(idxs)
-            # R minus the partners of the chosen L vertices — any subset
-            # of what remains closes a clique.
-            r_avail = [right[i] for i in range(n_pairs) if i not in chosen]
-            for c3 in range(0, min(l - c2, len(r_avail)) + 1):
-                c1 = l - c2 - c3
-                if c1 > n_f:
-                    continue
-                for r_sub in combinations(r_avail, c3):
-                    base = l_sub + r_sub
-                    for f_sub in combinations(f, c1):
-                        out(s + f_sub + base)
+    f, pairs = partition_2plex(verts, adj)
+    # j pairs, one member of each, then l − j members of F; j ≥ l − |F|,
+    # so every prefix closes a clique.
+    for j in range(max(0, l - len(f)), min(l, len(pairs)) + 1):
+        for chosen in combinations(pairs, j):
+            for picks in product(*chosen):
+                _combine(s + picks, f, l - j, out)
 
 
 def list_cliques_tplex(

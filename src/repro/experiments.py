@@ -155,6 +155,13 @@ LINEUPS = {
         ("VBBkC+ET (EP)", "ddegcol", {**ET, "scheme": "ep"}),
         ("VBBkC+ET (NP)", "ddegcol", {**ET, "scheme": "np"}),
     ],
+    # Exp 8 (Fig. 11): the structures each algorithm's tasks hold.
+    "exp8": [
+        ("EBBkC+ET", "ebbkc-h", ET),
+        ("DDegCol", "ddegcol", {}),
+        ("BitCol", "bitcol", {}),
+        ("Degen", "degen", {}),
+    ],
     # Exp 9 (Fig. 12): EP units at maximum parallelism.
     "exp9": [
         ("EBBkC+ET", "ebbkc-h", {**ET, "scheme": "ep"}),
@@ -261,12 +268,7 @@ def exp8_rows(datasets=("wk", "po", "st", "or")) -> list[dict]:
     for name in datasets:
         g = load(name)
         graph_bytes = int(g.us.nbytes + g.vs.nbytes)
-        for label, algo in [
-            ("EBBkC+ET", "ebbkc-h"),
-            ("DDegCol", "ddegcol"),
-            ("BitCol", "bitcol"),
-            ("Degen", "degen"),
-        ]:
+        for label, algo, _ in LINEUPS["exp8"]:
             rows.append(
                 {
                     "dataset": name,

@@ -79,11 +79,6 @@ def core_decomposition(g: LocalGraph) -> CoreDecomposition:
     )
 
 
-def degeneracy(g: LocalGraph) -> int:
-    """δ of the graph (max k with a non-empty k-core)."""
-    return core_decomposition(g).degeneracy
-
-
 def orient(
     order: Iterable[int], adj: dict[int, set[int]]
 ) -> tuple[dict[int, int], dict[int, set[int]]]:

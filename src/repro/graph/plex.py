@@ -27,36 +27,17 @@ def inverse_adj(verts: set[int], adj: dict[int, set[int]]) -> dict[int, set[int]
 
 def partition_2plex(
     verts: set[int], adj: dict[int, set[int]]
-) -> tuple[list[int], list[int], list[int]]:
-    """The F / L / R partition of a 2-plex (Section 5.1).
-
-    F holds the vertices adjacent to all others; the rest pair up into
-    (non-adjacent) couples, split so L[i] and R[i] are the two members
-    of pair i. Each of F, L, R induces a clique. Raises ValueError when
-    the graph is not a 2-plex.
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """The F / L / R partition of a 2-plex (Section 5.1), read off the
+    inverse graph: F holds the vertices with an empty inverse row (adjacent
+    to all others), and the pairs are the inverse graph's edges (v, w) with
+    v < w, sorted, so pair i is (L[i], R[i]). Each of F, L, R induces a
+    clique. Raises ValueError when the graph is not a 2-plex.
     """
     inv = inverse_adj(verts, adj)
-    n = len(verts)
-    f: list[int] = []
-    pairs: dict[int, int] = {}
-    for v in sorted(verts):
-        missing = inv[v]
-        if len(missing) == 0:
-            f.append(v)
-        elif len(missing) == 1:
-            pairs[v] = next(iter(missing))
-        else:
+    for v, missing in inv.items():
+        if len(missing) > 1:
             raise ValueError(f"not a 2-plex: {v} has {len(missing)} non-neighbors")
-    left: list[int] = []
-    right: list[int] = []
-    seen: set[int] = set()
-    for v in sorted(pairs):
-        if v in seen:
-            continue
-        w = pairs[v]
-        left.append(v)
-        right.append(w)
-        seen.add(v)
-        seen.add(w)
-    assert len(f) + 2 * len(left) == n
-    return f, left, right
+    f = sorted(v for v, missing in inv.items() if not missing)
+    pairs = sorted((v, w) for v, missing in inv.items() for w in missing if v < w)
+    return f, pairs

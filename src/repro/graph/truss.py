@@ -168,8 +168,3 @@ def truss_decomposition_from_spark(
         g = collect_local(edges)
     pdf = triangles_df(edges, core_decomposition(g).rank).toPandas()
     return truss_decomposition(g, k=k, tri=edge_ids(g, pdf["a"], pdf["b"], pdf["c"]))
-
-
-def tau(g: LocalGraph) -> int:
-    """τ(G): the largest sub-branch size under the truss edge ordering."""
-    return truss_decomposition(g).tau

@@ -30,6 +30,10 @@ SPANS = _module_literal(KCBENCH / "tracing.py", "SPANS")
 COUNT_OUT = _module_literal(KCBENCH / "tracing.py", "_COUNT_OUT")
 
 
+def test_spans_nonempty():
+    assert SPANS
+
+
 @pytest.mark.parametrize("mod,attr,key", SPANS, ids=[f"{m}.{a}" for m, a, _ in SPANS])
 def test_traced_span_resolves(mod, attr, key):
     """Every traced function exists; the ones whose emitted cliques are

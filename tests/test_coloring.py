@@ -7,7 +7,7 @@ from repro.graph.coloring import (
     greedy_coloring,
     subgraph_color_ordering,
 )
-from repro.graph.core import degeneracy, degeneracy_dag, degree_order, orient
+from repro.graph.core import core_decomposition, degeneracy_dag, degree_order, orient
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -20,7 +20,7 @@ def test_coloring_is_proper(seed):
 def test_coloring_bounded_by_degeneracy_plus_one():
     g = G.barabasi_albert(150, 5, seed=1)
     col = greedy_coloring(g)
-    assert max(col.values()) <= degeneracy(g) + 1
+    assert max(col.values()) <= core_decomposition(g).degeneracy + 1
 
 
 def test_complete_graph_needs_n_colors():

@@ -4,7 +4,6 @@ import pytest
 from repro.graph import generators as G
 from repro.graph.core import (
     core_decomposition,
-    degeneracy,
     degeneracy_dag,
     oriented_edges_df,
 )
@@ -21,12 +20,12 @@ from repro.graph.loader import collect_local, to_spark
     ],
 )
 def test_degeneracy_known_graphs(g, expected):
-    assert degeneracy(g) == expected
+    assert core_decomposition(g).degeneracy == expected
 
 
 def test_degeneracy_empty():
     g = G.complete_graph(1)  # no edges -> LocalGraph with no vertices
-    assert degeneracy(g) == 0
+    assert core_decomposition(g).degeneracy == 0
 
 
 def test_core_numbers_complete():

@@ -9,8 +9,8 @@ from repro.graph.datasets import (
     SMALL_OMEGA,
     load,
 )
-from repro.graph.core import degeneracy
-from repro.graph.truss import tau
+from repro.graph.core import core_decomposition
+from repro.graph.truss import truss_decomposition
 
 
 def test_registry_has_19_graphs():
@@ -48,7 +48,7 @@ def test_load_deterministic():
 @pytest.mark.parametrize("name", ["wk", "po", "st", "or", "na", "we"])
 def test_lemma_tau_less_than_delta_on_datasets(name):
     g = load(name)
-    assert tau(g) < degeneracy(g)
+    assert truss_decomposition(g).tau < core_decomposition(g).degeneracy
 
 
 def test_paper_stats_recorded():

@@ -1,10 +1,7 @@
 """Distributed engine: EP/NP fan-out over the Spark cluster vs brute force."""
-import importlib
-import importlib.util
 import pickle
 import time
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -500,15 +497,3 @@ def test_count_closed_form_on_spark(spark):
             kw = {"n_tasks": n_tasks, "et_t": et_t}
             assert count_kcliques(spark, df, 5, closed_form=True, **kw) == exp
             assert count_kcliques(spark, df, 5, closed_form=False, **kw) == exp
-
-
-def test_benchmark_traced_names_resolve():
-    """Every (module, function) the benchmark's tracer wraps exists and is
-    callable, so renaming a traced function fails here first."""
-    path = Path(__file__).resolve().parent.parent / "kcbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("kcbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.SPANS
-    for mod_name, attr, _ in tracing.SPANS:
-        assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)

@@ -37,13 +37,42 @@ def test_kc2plex_matches_brute_force(seed, n):
     count agrees with the listing at every l."""
     g = G.random_t_plex(n, 2, seed=seed)
     verts = set(g.adj)
-    f, left, _ = partition_2plex(verts, g.adj)
+    f, pairs = partition_2plex(verts, g.adj)
     for l in range(0, n + 2):
         got = []
         list_cliques_2plex((), verts, g.adj, l, got.append)
         if l:
             assert _norm(got) == _norm(brute_force_in_subset(g, verts, l))
-        assert count_cliques_2plex(len(f), len(left), l) == len(got)
+        assert count_cliques_2plex(len(f), len(pairs), l) == len(got)
+
+
+# A 2-plex on {0..7} (non-adjacent pairs 01 and 23) inside a larger
+# graph, as EBBkC-C's global `und` rows and Degen's `adj` rows are: every
+# row reaches 8 or 9, and 0, 4 and 5 each miss one of them, so a row's
+# non-neighbors are not the branch's.
+PLEX2_IN_LARGER = LocalGraph.from_pairs(
+    [(i, j) for i in range(10) for j in range(i + 1, 10)
+     if (i, j) not in {(0, 1), (2, 3), (4, 8), (0, 9), (5, 9)}]
+)
+
+
+def test_kc2plex_superset_rows():
+    """kC2Plex at l ≥ 3 on a 2-plex whose rows reach outside ``verts``:
+    the listing is the branch's cliques, and a CliqueCount passed straight
+    to list_cliques_2plex adds exactly as many."""
+    g = PLEX2_IN_LARGER
+    verts = set(range(8))
+    assert plexity(verts, g.adj) == 2 < plexity(set(g.adj), g.adj)
+    assert all(g.adj[v] - verts for v in verts)
+    s = (100,)
+    for l in range(3, len(verts) + 2):
+        got, sink = [], CliqueCount()
+        sink.n = 7
+        list_cliques_2plex(s, verts, g.adj, l, got.append)
+        list_cliques_2plex(s, verts, g.adj, l, sink)
+        assert all(c[:1] == s for c in got)
+        assert _norm(c[1:] for c in got) == _norm(brute_force_in_subset(g, verts, l))
+        assert sink.n - 7 == len(got)
 
 
 @pytest.mark.parametrize("seed", range(4))

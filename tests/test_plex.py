@@ -2,6 +2,7 @@
 import pytest
 
 from repro.graph import generators as G
+from repro.graph.loader import LocalGraph
 from repro.graph.plex import (
     inverse_adj,
     partition_2plex,
@@ -45,21 +46,23 @@ def test_inverse_of_clique_is_empty():
 
 def test_partition_2plex_clique():
     g = G.complete_graph(6)
-    f, left, right = partition_2plex(set(g.adj), g.adj)
-    assert sorted(f) == list(range(6)) and left == [] and right == []
+    f, pairs = partition_2plex(set(g.adj), g.adj)
+    assert sorted(f) == list(range(6)) and pairs == []
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_partition_2plex_structure(seed):
     g = G.random_t_plex(10, 2, seed=seed)
     verts = set(g.adj)
-    f, left, right = partition_2plex(verts, g.adj)
-    assert len(f) + 2 * len(left) == len(verts)
-    assert len(left) == len(right)
+    f, pairs = partition_2plex(verts, g.adj)
+    left = [a for a, _ in pairs]
+    right = [b for _, b in pairs]
+    assert pairs == sorted(pairs) and all(a < b for a, b in pairs)
+    assert sorted(f + left + right) == sorted(verts)
     # F vertices adjacent to everything; pairs are the unique non-edges.
     for v in f:
         assert g.adj[v] & verts == verts - {v}
-    for a, b in zip(left, right):
+    for a, b in pairs:
         assert b not in g.adj[a]
     # Each of F, L, R induces a clique.
     for part in (f, left, right):
@@ -71,4 +74,10 @@ def test_partition_2plex_structure(seed):
 def test_partition_2plex_rejects_3plex():
     g = G.cycle_graph(6)  # plexity 4
     with pytest.raises(ValueError):
+        partition_2plex(set(g.adj), g.adj)
+    # K_6 minus 01 and 02: only vertex 0 has two non-neighbors.
+    g = LocalGraph.from_pairs(
+        [(i, j) for i in range(6) for j in range(i + 1, 6) if (i, j) not in {(0, 1), (0, 2)}]
+    )
+    with pytest.raises(ValueError, match="not a 2-plex: 0 has 2 non-neighbors"):
         partition_2plex(set(g.adj), g.adj)

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bruteforce import brute_force_count
 from repro.core.engine import run_local
-from repro.graph.core import degeneracy
+from repro.graph.core import core_decomposition
 from repro.graph.loader import LocalGraph
-from repro.graph.truss import tau
+from repro.graph.truss import truss_decomposition
 
 
 @st.composite
@@ -70,4 +70,4 @@ def test_all_algorithms_agree_with_brute_force(g, k):
 @settings(max_examples=60, deadline=None)
 def test_lemma_4_1_property(g):
     if g.m > 0:
-        assert tau(g) < degeneracy(g)
+        assert truss_decomposition(g).tau < core_decomposition(g).degeneracy

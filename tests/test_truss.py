@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ebbkc import _sweep, rank_map
 from repro.graph import generators as G
-from repro.graph.core import degeneracy
+from repro.graph.core import core_decomposition
 from repro.graph.loader import to_spark
-from repro.graph.truss import tau, truss_decomposition, truss_decomposition_from_spark
+from repro.graph.truss import truss_decomposition, truss_decomposition_from_spark
 
 from .test_properties import graphs, near_complete_graphs
 
@@ -22,13 +22,13 @@ def test_complete_graph_truss():
 def test_bipartite_tau_zero():
     """The paper's δ/τ gap example: K_{p,p} has δ = p but τ = 0."""
     g = G.complete_bipartite(6, 6)
-    assert tau(g) == 0
-    assert degeneracy(g) == 6
+    assert truss_decomposition(g).tau == 0
+    assert core_decomposition(g).degeneracy == 6
 
 
 def test_triangle_free_tau_zero():
-    assert tau(G.cycle_graph(10)) == 0
-    assert tau(G.star_graph(8)) == 0
+    assert truss_decomposition(G.cycle_graph(10)).tau == 0
+    assert truss_decomposition(G.star_graph(8)).tau == 0
 
 
 def test_empty_graph():
@@ -44,7 +44,7 @@ def test_lemma_4_1_tau_strictly_less_than_delta(seed):
         G.barabasi_albert(120, 5, seed=seed),
         G.planted_cliques(80, 0.05, [10], seed=seed),
     ):
-        assert tau(g) < degeneracy(g)
+        assert truss_decomposition(g).tau < core_decomposition(g).degeneracy
 
 
 def test_ordering_is_permutation_of_edges():
@@ -171,7 +171,7 @@ def test_tau_from_spark_matches_local(spark):
 
 def test_planted_clique_tau():
     g = G.planted_cliques(100, 0.01, [12], seed=7)
-    assert tau(g) == 10  # clique of size c gives tau = c - 2
+    assert truss_decomposition(g).tau == 10  # clique of size c gives tau = c - 2
 
 
 @pytest.mark.parametrize("k", [0, 3, 4, 5, 6])
